@@ -4,7 +4,8 @@ Subcommands:
 
 * ``classify`` -- classify one or more equations (inline arguments, a file,
   or stdin), or a short-Weierstrass pair given as ``--f4 EXPR --f6 EXPR``,
-  or apply the degree rule with ``--degree N``;
+  or apply the degree rule with ``--degree N``; batches run sequentially,
+  and ``--parallel`` is accepted for compatibility but changes nothing;
 * ``enumerate`` -- the combinatorial configuration lists (``--j 0``,
   ``--j 1728``, ``--j generic`` or ``--instar [--rank-cap N]``);
 * ``catalog`` -- list the built-in witnesses, with ``--verify`` re-classifying
@@ -24,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .catalog import emit_tables, verify_witness, witness_catalog, witness_for_configuration
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--json", action="store_true", help="JSON output")
     p_classify.add_argument(
         "--parallel", action="store_true",
-        help="classify batch inputs concurrently (output order preserved)",
+        help="accepted for compatibility; batches always run sequentially",
     )
 
     p_enum = sub.add_parser("enumerate", help="enumerate fiber configurations")
@@ -164,35 +164,29 @@ def _cmd_classify(args, out, err) -> int:
         _emit_report(report, args.json, out)
         return EXIT_OK
 
-    inputs = _classify_inputs(args)
+    try:
+        inputs = _classify_inputs(args)
+    except OSError as exc:
+        print(str(exc), file=err)
+        return EXIT_USAGE
     if not inputs:
         print("nothing to classify: pass equations, --file, or pipe stdin", file=err)
         return EXIT_USAGE
 
-    def run(text: str):
-        try:
-            return classify_surface(text), None
-        except DelPezzoError as exc:
-            return None, exc
-
-    if args.parallel and len(inputs) > 1:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(run, inputs))
-    else:
-        results = [run(text) for text in inputs]
-
     exit_code = EXIT_OK
-    for text, (report, exc) in zip(inputs, results):
-        if report is not None:
-            _emit_report(report, args.json, out)
+    for text in inputs:
+        try:
+            report = classify_surface(text)
+        except DelPezzoError as exc:
+            if args.json:
+                print(_error_payload(exc), file=out)
+            print(f"{text}: {exc}", file=err)
+            if isinstance(exc, InvalidSurfaceError):
+                exit_code = max(exit_code, EXIT_INVALID_SURFACE)
+            else:
+                exit_code = max(exit_code, EXIT_USAGE)
             continue
-        if args.json:
-            print(_error_payload(exc), file=out)
-        print(f"{text}: {exc}", file=err)
-        if isinstance(exc, InvalidSurfaceError):
-            exit_code = max(exit_code, EXIT_INVALID_SURFACE)
-        else:
-            exit_code = max(exit_code, EXIT_USAGE)
+        _emit_report(report, args.json, out)
     return exit_code
 
 

@@ -156,15 +156,6 @@ class BinaryForm:
             e >>= 1
         return result
 
-    def evaluate(self, x, y) -> Fraction:
-        x = _as_fraction(x)
-        y = _as_fraction(y)
-        total = _ZERO
-        for i, c in enumerate(self.coefficients):
-            if c != 0:
-                total += c * x ** (self.degree - i) * y**i
-        return total
-
     # -- normal forms ---------------------------------------------------------
 
     def content_and_primitive(self) -> tuple[Fraction, "BinaryForm"]:
@@ -344,7 +335,6 @@ def _u_squarefree_parts(u: list[Fraction]) -> list[tuple[list[Fraction], int]]:
 
 
 Y_FORM = BinaryForm(1, (_ZERO, _ONE))
-X_FORM = BinaryForm(1, (_ONE, _ZERO))
 
 
 def form_gcd(a: BinaryForm, b: BinaryForm) -> BinaryForm:
@@ -384,16 +374,6 @@ def squarefree_decomposition(
     return content, parts
 
 
-def is_squarefree(f: BinaryForm) -> bool:
-    """True when f has no repeated root on the projective line."""
-    if f.is_zero:
-        raise ZeroFormError("squarefreeness undefined for the zero form")
-    if f.degree == 0:
-        return True
-    _, parts = squarefree_decomposition(f)
-    return all(m == 1 for _, m in parts)
-
-
 def factor_over_rationals(f: BinaryForm) -> Factorization:
     """Full irreducible factorization over the rationals."""
     if f.is_zero:
@@ -420,21 +400,6 @@ def factor_over_rationals(f: BinaryForm) -> Factorization:
         content = content * u[0]
     factors.sort(key=lambda item: item[0].sort_key())
     return Factorization(content, tuple(factors))
-
-
-def divides_exactly(p: BinaryForm, f: BinaryForm) -> bool:
-    """True when the nonzero form p divides f (the zero form is divisible by
-    everything)."""
-    if p.is_zero:
-        raise ZeroFormError("division by the zero form")
-    if f.is_zero:
-        return True
-    kp, up = _dehomogenize(p)
-    kf, uf = _dehomogenize(f)
-    if kp > kf:
-        return False
-    _, rem = _u_divmod(uf, up)
-    return _u_is_zero(rem)
 
 
 def valuation(f: BinaryForm, p: BinaryForm) -> int | float:

@@ -224,7 +224,10 @@ def parse_polynomial(text: str) -> Poly:
     """Parse to an expanded polynomial in x, y, z, w (no degree checks)."""
     if not text.strip():
         raise EquationError("empty input", 0)
-    return _Parser(text).parse_equation()
+    try:
+        return _Parser(text).parse_equation()
+    except RecursionError:
+        raise EquationError("expression nested too deeply") from None
 
 
 # -- the general sextic ------------------------------------------------------------

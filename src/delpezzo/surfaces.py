@@ -229,6 +229,14 @@ _COREG0_EXCEPTIONS = (
     frozenset({("I0*", None, 1), ("III", None, 2)}),
 )
 
+# The catalogued isotrivial configurations for j = 0 and j = 1728, and the
+# eleven among them with coreg = 1 (nine with j = 0, two with j = 1728).
+_ISOTRIVIAL = {
+    0: frozenset(fc.multiset() for fc in enumerate_isotrivial("zero")),
+    1728: frozenset(fc.multiset() for fc in enumerate_isotrivial("value1728")),
+}
+_COREG1_CONFIGS = (_ISOTRIVIAL[0] | _ISOTRIVIAL[1728]).difference(_COREG0_EXCEPTIONS)
+
 
 def decide_coregularity(config: FiberConfiguration, j: JInvariant) -> Coregularity:
     """coreg1 / coreg2 / coreg and toric-model existence for degree 1."""
@@ -276,11 +284,7 @@ def moduli_dimension(
     """Dimension of the moduli of surfaces with this isotrivial configuration:
     0 when rho <= 3, else (rho - 3) / 2.  Undefined (None) unless j is
     constant 0 or 1728 and the configuration is one of the catalogued ones."""
-    if not j.constant or j.value not in (0, 1728):
-        return None
-    j_class = "zero" if j.value == 0 else "value1728"
-    key = config.multiset()
-    if not any(key == fc.multiset() for fc in enumerate_isotrivial(j_class)):
+    if not j.constant or config.multiset() not in _ISOTRIVIAL.get(j.value, ()):
         return None
     if rho <= 3:
         return 0
@@ -369,23 +373,7 @@ _COREG1_SING_HIGHER_RHO = {
 }
 
 
-def _coreg1_fiber_configurations() -> set[frozenset]:
-    """The eleven isotrivial configurations with coreg = 1 (nine with j = 0,
-    two with j = 1728)."""
-    keys: set[frozenset] = set()
-    for j_class in ("zero", "value1728"):
-        for fc in enumerate_isotrivial(j_class):
-            key = fc.multiset()
-            if key not in _COREG0_EXCEPTIONS:
-                keys.add(key)
-    return keys
-
-
-_COREG1_CONFIGS_CACHE: set[frozenset] | None = None
-
-
 def _verify_report(report: ClassificationReport) -> None:
-    global _COREG1_CONFIGS_CACHE
     config, sing, j = report.fibers, report.sing, report.j
     if config.chi_total != 12:
         raise InternalInvariantError("total Euler number != 12")
@@ -428,9 +416,7 @@ def _verify_report(report: ClassificationReport) -> None:
             )
         if not report.isotrivial:
             raise InternalInvariantError("coreg = 1 needs an isotrivial fibration")
-        if _COREG1_CONFIGS_CACHE is None:
-            _COREG1_CONFIGS_CACHE = _coreg1_fiber_configurations()
-        if config.multiset() not in _COREG1_CONFIGS_CACHE:
+        if config.multiset() not in _COREG1_CONFIGS:
             raise InternalInvariantError(
                 f"coreg = 1 with uncatalogued configuration {config}"
             )

@@ -11,6 +11,13 @@ the cubic.  All steps are exact and the result is isomorphic to the input
 surface over the rationals; valuations of (f4, f6, delta) at every place --
 hence the whole classification -- do not depend on the choices made here.
 
+Minimality needs no factorization.  A place p is non-minimal when
+v_p(f4) >= 4 and v_p(f6) >= 6.  A nonzero f4 of degree 4 with v_p(f4) >= 4
+forces p linear and f4 = c * p^4; likewise a nonzero f6 is c * p^6.  So the
+pair is non-minimal exactly when every nonzero one of f4, f6 is a constant
+times a full power of one and the same linear form, read off from its first
+two coefficients.
+
 The discriminant convention is delta = -16 (4 f4^3 + 27 f6^2).  Relative to
 the bare cubic discriminant of z^3 + p z + q this carries a fixed factor 16
 (after the sign-preserving substitution z -> -z used for inputs written as
@@ -29,14 +36,10 @@ from .errors import (
     ZeroDiscriminantError,
     ZeroFormError,
 )
-from .forms import (
-    INFINITY,
-    BinaryForm,
-    factor_over_rationals,
-    form_gcd,
-    squarefree_decomposition,
-    _valuation_at_irreducible,
-)
+from .forms import Y_FORM, BinaryForm, squarefree_decomposition
+
+# Unused here; perfbench/tracing.py traces these names in this module.
+from .forms import _valuation_at_irreducible, factor_over_rationals, form_gcd  # noqa: F401
 from .sextic import GeneralSextic
 
 
@@ -134,25 +137,32 @@ def cube_test(f6: BinaryForm) -> bool:
     return all(mult % 3 == 0 for _, mult in parts)
 
 
+def _linear_root(f: BinaryForm) -> BinaryForm | None:
+    """The primitive linear l with f = c * l^deg f for the nonzero form f, or
+    None when there is none."""
+    lead, second = f.coefficients[0], f.coefficients[1]
+    if lead == 0:
+        return Y_FORM if not any(f.coefficients[:-1]) else None
+    root = BinaryForm(1, (Fraction(1), second / (f.degree * lead)))
+    return root.primitive_part() if lead * root**f.degree == f else None
+
+
 def _check_minimal(f4: BinaryForm, f6: BinaryForm) -> None:
     """Reject places with valuation(f4) >= 4 and valuation(f6) >= 6; such a
     point of the sextic is not a du Val singularity."""
-    if f4.is_zero:
-        candidates = factor_over_rationals(f6).factors
-    elif f6.is_zero:
-        candidates = factor_over_rationals(f4).factors
-    else:
-        common = form_gcd(f4, f6)
-        if common.degree == 0:
+    places = set()
+    for f in (f4, f6):
+        if f.is_zero:
+            continue
+        place = _linear_root(f)
+        if place is None:
             return
-        candidates = factor_over_rationals(common).factors
-    for place, _ in candidates:
-        v4 = INFINITY if f4.is_zero else _valuation_at_irreducible(f4, place)
-        v6 = INFINITY if f6.is_zero else _valuation_at_irreducible(f6, place)
-        if v4 >= 4 and v6 >= 6:
-            raise NonMinimalError(
-                f"non-minimal place at {place}: not du Val", place=place
-            )
+        places.add(place)
+    if len(places) == 1:
+        place = places.pop()
+        raise NonMinimalError(
+            f"non-minimal place at {place}: not du Val", place=place
+        )
 
 
 def weierstrass_data(f4: BinaryForm, f6: BinaryForm) -> WeierstrassData:

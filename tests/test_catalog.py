@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import delpezzo.catalog as catalog
+import delpezzo.forms as forms
 from delpezzo.catalog import (
     Witness,
     emit_tables,
@@ -17,6 +18,7 @@ from delpezzo.catalog import (
 from delpezzo.errors import TableMismatchError
 from delpezzo.forms import factor_over_rationals
 from delpezzo.sextic import parse_binary_form
+from delpezzo.surfaces import classify_surface
 
 
 def test_catalog_size_and_unique_names():
@@ -28,6 +30,21 @@ def test_catalog_size_and_unique_names():
 
 def test_catalog_verifies_clean():
     assert verify_catalog() == {}
+
+
+def test_each_witness_is_factored_at_most_once(monkeypatch):
+    calls = []
+    real = forms.dup_zz_factor
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(forms, "dup_zz_factor", counted)
+    for witness in witness_catalog():
+        calls.clear()
+        classify_surface(witness.equation)
+        assert len(calls) <= 1, witness.name
 
 
 def test_verify_witness_detects_mismatch():

@@ -127,6 +127,28 @@ def test_classify_from_file_and_parallel(tmp_path, capsys):
     assert len(seq_out.strip().splitlines()) == 3
 
 
+def test_classify_batch_survives_a_deeply_nested_line(tmp_path, capsys):
+    line = "w^2 + z^3 + x^5*y"
+    batch = tmp_path / "batch.txt"
+    batch.write_text(f"{line}\nw^2 + z^3 + {'(' * 5000}x^6{')' * 5000}\n{line}\n")
+    code, out, err = run(capsys, "classify", "--json", "--file", str(batch))
+    assert code == 1
+    first, middle, last = out.splitlines()
+    assert first == last and json.loads(first)["errors"] == []
+    assert json.loads(middle) == {"errors": [{
+        "code": "syntax", "message": "expression nested too deeply", "stage": "parse",
+    }]}
+    assert "nested too deeply" in err
+
+
+def test_classify_missing_file_exit_1(tmp_path, capsys):
+    missing = tmp_path / "no-such-file.txt"
+    code, out, err = run(capsys, "classify", "--file", str(missing))
+    assert code == 1
+    assert out == ""
+    assert str(missing) in err
+
+
 def test_classify_stdin(monkeypatch, capsys):
     stream = io.StringIO("w^2 + z^3 + x^5*y\n")
     stream.isatty = lambda: False

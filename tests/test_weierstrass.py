@@ -1,9 +1,13 @@
 """Reduction to short form, discriminant, j-invariant, cube test, validation."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+
+import bruteforce
 
 from delpezzo.errors import (
     MissingCubeTermError,
@@ -175,6 +179,65 @@ def test_minimal_surfaces_accepted():
     wd = weierstrass_data(form("x^4", 4), form("x^5*y", 6))
     assert wd.delta == form("-16*x^10*(4*x^2+27*y^2)", 12)
     weierstrass_data(form("x^2*y^2", 4), BinaryForm.zero(6))
+
+
+_SMALL_LINES = [(a, b) for a in range(3) for b in range(-2, 3)
+                if math.gcd(a, b) == 1 and (a > 0 or b > 0)]
+
+
+def _structured_form(rng, degree, line):
+    """c * line^e * cofactor as an x-major integer tuple; zero now and then."""
+    if rng.random() < 0.15:
+        return (0,) * (degree + 1)
+    e = rng.choice([degree, degree, degree - 1, rng.randint(0, degree)])
+    out = (rng.choice([1, -1, 2, -3, 5]),)
+    for _ in range(e):
+        out = bruteforce.poly_mul(out, line)
+    cofactor = tuple(rng.randint(-3, 3) for _ in range(degree - e + 1))
+    return bruteforce.poly_mul(out, cofactor)
+
+
+def _oracle_place(f4, f6):
+    """The linear l with v_l(f4) >= 4 and v_l(f6) >= 6 (a zero form has
+    infinite valuation), by brute-force rational-root search, or None."""
+    mult4 = bruteforce.linear_factors(f4) if any(f4) else None
+    mult6 = bruteforce.linear_factors(f6) if any(f6) else None
+    for line in set(mult4 or {}) | set(mult6 or {}):
+        if (mult4 is None or mult4.get(line, 0) >= 4) and (
+            mult6 is None or mult6.get(line, 0) >= 6
+        ):
+            return line
+    return None
+
+
+def test_minimality_matches_bruteforce_linear_factors():
+    rng = random.Random(20261018)
+    outcomes = Counter()
+    for _ in range(600):
+        shared = rng.choice(_SMALL_LINES)
+        f4, f6 = (
+            _structured_form(rng, d, shared if rng.random() < 0.7 else rng.choice(_SMALL_LINES))
+            for d in (4, 6)
+        )
+        cube = bruteforce.poly_mul(f4, bruteforce.poly_mul(f4, f4))
+        square = bruteforce.poly_mul(f6, f6)
+        pair = BinaryForm.from_coefficients(4, f4), BinaryForm.from_coefficients(6, f6)
+        place = _oracle_place(f4, f6)
+        if all(4 * a + 27 * b == 0 for a, b in zip(cube, square)):
+            outcome = "zero-discriminant"
+            with pytest.raises(ZeroDiscriminantError):
+                weierstrass_data(*pair)
+        elif place is None:
+            outcome = "minimal"
+            weierstrass_data(*pair)
+        else:
+            outcome = "non-minimal, a zero form" if not (any(f4) and any(f6)) else "non-minimal"
+            with pytest.raises(NonMinimalError) as info:
+                weierstrass_data(*pair)
+            assert info.value.place.coefficients == place
+            assert str(info.value) == f"non-minimal place at {info.value.place}: not du Val"
+        outcomes[outcome] += 1
+    assert min(outcomes[k] for k in ("minimal", "non-minimal", "non-minimal, a zero form")) >= 40, outcomes
 
 
 # -- reduction invariance ------------------------------------------------------------------
