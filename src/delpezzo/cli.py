@@ -102,16 +102,35 @@ def _error_payload(exc: DelPezzoError) -> str:
     )
 
 
-def _classify_inputs(args) -> list[str]:
-    inputs: list[str] = list(args.equations)
+def _input_lines(stream) -> list[str | bytes]:
+    """The non-blank lines of a stream, stripped.  Each line is decoded on its
+    own; one that is not UTF-8 stays bytes, so only that line fails."""
+    lines: list[str | bytes] = []
+    for raw in getattr(stream, "buffer", stream).read().splitlines():
+        try:
+            line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        except UnicodeDecodeError:
+            lines.append(raw.strip())
+            continue
+        if line.strip():
+            lines.append(line.strip())
+    return lines
+
+
+def _classify_inputs(args) -> list[str | bytes]:
+    inputs: list[str | bytes] = list(args.equations)
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            inputs.extend(
-                line.strip() for line in handle if line.strip()
-            )
+        with open(args.file, "rb") as handle:
+            inputs.extend(_input_lines(handle))
     if not inputs and not sys.stdin.isatty():
-        inputs.extend(line.strip() for line in sys.stdin if line.strip())
+        inputs.extend(_input_lines(sys.stdin))
     return inputs
+
+
+def _classify_line(line: str | bytes) -> ClassificationReport:
+    if isinstance(line, bytes):
+        raise EquationError("input line is not valid UTF-8")
+    return classify_surface(line)
 
 
 def _emit_report(report: ClassificationReport, as_json: bool, out) -> None:
@@ -174,13 +193,15 @@ def _cmd_classify(args, out, err) -> int:
         return EXIT_USAGE
 
     exit_code = EXIT_OK
-    for text in inputs:
+    for line in inputs:
         try:
-            report = classify_surface(text)
+            report = _classify_line(line)
         except DelPezzoError as exc:
             if args.json:
                 print(_error_payload(exc), file=out)
-            print(f"{text}: {exc}", file=err)
+            if isinstance(line, bytes):
+                line = line.decode("utf-8", "backslashreplace")
+            print(f"{line}: {exc}", file=err)
             if isinstance(exc, InvalidSurfaceError):
                 exit_code = max(exit_code, EXIT_INVALID_SURFACE)
             else:

@@ -33,7 +33,8 @@ class UnknownVariableError(EquationError):
 
 
 class NotHomogeneousError(EquationError):
-    """A monomial has weighted degree != 6 under weights (x,y,z,w)=(1,1,2,3)."""
+    """A monomial has weighted degree != 6 under weights (x,y,z,w)=(1,1,2,3),
+    or a product or power in the input exceeds the parser's degree limit."""
 
     code = "not-homogeneous"
 

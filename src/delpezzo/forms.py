@@ -5,11 +5,15 @@ entry ``i`` being the coefficient of ``x**(d-i) * y**i``.  The identically-zero
 form keeps a declared degree so homogeneous arithmetic stays well-typed (f4
 may be the zero form of degree 4).
 
-Everything here is exact: no rounding occurs anywhere.  The heavy lifting for
-irreducible factorization of squarefree integer polynomials is delegated to
-sympy's dense Zassenhaus routine; gcd, squarefree splitting and valuations are
-implemented directly, routed through the dehomogenization ``t = x/y`` with the
-pure ``y``-power ("point at infinity") factor handled separately.
+Everything here is exact: no rounding occurs anywhere.  gcd, squarefree
+splitting, valuations and the split of a squarefree polynomial by the order
+of vanishing of another run on primitive integer polynomials through the
+dehomogenization ``t = x/y``, with the pure ``y``-power ("point at infinity")
+factor handled separately; none of them factors.  A modular certificate
+skips the integer gcds when a polynomial is squarefree, or two are coprime,
+modulo a large prime, which is the generic case.  sympy's dense Zassenhaus
+routine is used only by :func:`factor_over_rationals`, which names the
+irreducible places.
 """
 
 from __future__ import annotations
@@ -238,100 +242,168 @@ class Factorization:
         return " * ".join(parts) if parts else "1"
 
 
-# -- univariate helpers (dense, low-to-high, exact rationals) ------------------
+# -- univariate helpers (dense, low-to-high, primitive integer polynomials) -----
 #
 # A nonzero form f of degree d factors as y**k * F(x, y) with y not dividing F;
-# F corresponds to the univariate u(t) = f(t, 1) of degree d - k.  All gcd,
-# squarefree and factorization work happens on u, the y**k part is bookkept.
+# F corresponds to the univariate u(t) = f(t, 1) of degree d - k, scaled to a
+# primitive integer polynomial with positive leading coefficient.  All gcd,
+# squarefree and valuation work happens on u, the y**k part is bookkept.  A
+# primitive divisor of an integer polynomial leaves an integer quotient
+# (Gauss's lemma), so every division below is exact over the integers.
+
+_PRIME = (1 << 61) - 1
 
 
-def _dehomogenize(f: BinaryForm) -> tuple[int, list[Fraction]]:
-    u = list(reversed(f.coefficients))
-    while u and u[-1] == 0:
-        u.pop()
-    if not u:
+def _dehomogenize(f: BinaryForm) -> tuple[int, list[int]]:
+    coefficients = f.coefficients
+    k = 0
+    while k <= f.degree and coefficients[k] == 0:
+        k += 1
+    if k > f.degree:
         raise ZeroFormError("cannot dehomogenize the zero form")
-    return f.degree - (len(u) - 1), u
+    den = math.lcm(*(c.denominator for c in coefficients[k:]))
+    return k, _u_primitive([c.numerator * (den // c.denominator)
+                            for c in reversed(coefficients[k:])])
 
 
-def _homogenize(y_power: int, u: list[Fraction]) -> BinaryForm:
+def _homogenize(y_power: int, u: list[int]) -> BinaryForm:
     degree = y_power + len(u) - 1
-    coeffs = (_ZERO,) * y_power + tuple(reversed(u))
-    return BinaryForm(degree, coeffs)
+    return BinaryForm.from_coefficients(degree, [0] * y_power + u[::-1])
 
 
-def _u_trim(u: list[Fraction]) -> list[Fraction]:
+def _u_primitive(u: list[int]) -> list[int]:
+    """u divided by its content, with positive leading coefficient."""
+    g = math.gcd(*u)
+    if u[-1] < 0:
+        g = -g
+    return u if g == 1 else [c // g for c in u]
+
+
+def _u_trim(u: list[int]) -> list[int]:
     while u and u[-1] == 0:
         u.pop()
     return u
 
 
-def _u_is_zero(u: list[Fraction]) -> bool:
-    return not u
-
-
-def _u_monic(u: list[Fraction]) -> list[Fraction]:
-    lc = u[-1]
-    if lc == 1:
-        return u
-    return [c / lc for c in u]
-
-
-def _u_derivative(u: list[Fraction]) -> list[Fraction]:
+def _u_derivative(u: list[int]) -> list[int]:
     return _u_trim([i * c for i, c in enumerate(u)][1:])
 
 
-def _u_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _u_sub(a: list[int], b: list[int]) -> list[int]:
     n = max(len(a), len(b))
-    return _u_trim([(a[k] if k < len(a) else _ZERO) - (b[k] if k < len(b) else _ZERO)
-                    for k in range(n)])
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _u_trim([c - d for c, d in zip(a, b)])
 
 
-def _u_divmod(a: list[Fraction], b: list[Fraction]):
-    if _u_is_zero(b):
-        raise ZeroDivisionError("univariate division by zero")
-    rem = _u_trim(list(a))
-    quo = [_ZERO] * max(len(a) - len(b) + 1, 1)
-    lb = b[-1]
-    while len(rem) >= len(b) and not _u_is_zero(rem):
-        shift = len(rem) - len(b)
-        factor = rem[-1] / lb
-        quo[shift] = factor
+def _u_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b (deg b >= 1),
+    or [] when b divides a."""
+    a = list(a)
+    lb, n = b[-1], len(b)
+    while len(a) >= n:
+        la = a[-1]
+        g = math.gcd(la, lb)
+        sa, sb = lb // g, la // g
+        shift = len(a) - n
+        for i in range(shift):
+            a[i] *= sa
         for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem = _u_trim(rem)
-    return _u_trim(quo), rem
+            a[shift + i] = a[shift + i] * sa - sb * c
+        a.pop()
+        _u_trim(a)
+    return a
 
 
-def _u_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _u_trim(list(a)), _u_trim(list(b))
-    while not _u_is_zero(b):
-        _, r = _u_divmod(a, b)
-        a, b = b, r
-    if _u_is_zero(a):
-        raise ZeroDivisionError("gcd of two zero polynomials")
-    return _u_monic(a)
+def _u_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd (positive leading coefficient) of two nonzero integer
+    polynomials, by the primitive polynomial remainder sequence."""
+    a, b = _u_primitive(a), _u_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _u_pseudo_rem(a, b)
+        if not r:
+            return b
+        a, b = b, _u_primitive(r)
+    return [1]
 
 
-def _u_squarefree_parts(u: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun's algorithm: monic u = prod(g_i ** i), g_i squarefree and coprime."""
-    parts: list[tuple[list[Fraction], int]] = []
+def _u_exquo(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b when the primitive polynomial b divides a, else None."""
+    rem = list(a)
+    lb, n = b[-1], len(b)
+    quo = [0] * (len(a) - n + 1)
+    for shift in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[shift + n - 1], lb)
+        if r:
+            return None
+        if q:
+            quo[shift] = q
+            for i, c in enumerate(b):
+                rem[shift + i] -= q * c
+    return None if any(rem[:n - 1]) else quo
+
+
+def _u_coprime_mod_prime(a: list[int], b: list[int]) -> bool:
+    """True when a keeps its degree modulo a large prime and is coprime to b
+    there.  A common factor over the rationals would stay a common factor of
+    positive degree modulo the prime, so True proves a and b coprime; False
+    proves nothing."""
+    a = [c % _PRIME for c in a]
+    if not a[-1]:
+        return False
+    b = _u_trim([c % _PRIME for c in b])
+    while b:  # fraction-free Euclid: scale instead of inverting leads
+        lb, low = b[-1], b[:-1]
+        n = len(low)
+        while len(a) > n:
+            la = a.pop()
+            s = len(a) - n
+            a = [c * lb % _PRIME for c in a[:s]] + [
+                (c * lb - la * d) % _PRIME for c, d in zip(a[s:], low)
+            ]
+            _u_trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def _u_squarefree_parts(u: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm: primitive u = prod(g_i ** i), g_i primitive,
+    squarefree and coprime; returns the nonconstant (g_i, i)."""
+    parts: list[tuple[list[int], int]] = []
     if len(u) <= 1:
         return parts
     du = _u_derivative(u)
+    if _u_coprime_mod_prime(u, du):  # the generic case: u is squarefree
+        return [(u, 1)]
     g = _u_gcd(u, du)
-    c, _ = _u_divmod(u, g)
-    w, _ = _u_divmod(du, g)
+    c, w = _u_exquo(u, g), _u_exquo(du, g)
     i = 1
     while len(c) > 1:
         y = _u_sub(w, _u_derivative(c))
-        h = _u_monic(list(c)) if _u_is_zero(y) else _u_gcd(c, y)
+        h = _u_gcd(c, y) if y else c
         if len(h) > 1:
             parts.append((h, i))
-        c, _ = _u_divmod(c, h)
-        w = [] if _u_is_zero(y) else _u_divmod(y, h)[0]
+        c = _u_exquo(c, h)
+        w = _u_exquo(y, h) if y else []
         i += 1
     return parts
+
+
+def _u_split_by_order(g: list[int], f: list[int]) -> list[tuple[list[int], int]]:
+    """Split squarefree g into (piece, k): the product of the roots of g at
+    which the nonzero f vanishes to order exactly k.  Roots of order >= k + 1
+    are the common roots of g and f, f', ..., f^(k)."""
+    if _u_coprime_mod_prime(g, f):
+        return [(g, 0)]
+    pieces = []
+    order = 0
+    while len(g) > 1:
+        h = _u_gcd(g, f)
+        if len(h) < len(g):
+            pieces.append((_u_exquo(g, h), order))
+        g, f, order = h, _u_derivative(f), order + 1
+    return pieces
 
 
 Y_FORM = BinaryForm(1, (_ZERO, _ONE))
@@ -348,8 +420,7 @@ def form_gcd(a: BinaryForm, b: BinaryForm) -> BinaryForm:
         return a.primitive_part()
     ka, ua = _dehomogenize(a)
     kb, ub = _dehomogenize(b)
-    g = _u_gcd(ua, ub)
-    return _homogenize(min(ka, kb), g).primitive_part()
+    return _homogenize(min(ka, kb), _u_gcd(ua, ub))
 
 
 def squarefree_decomposition(
@@ -361,8 +432,8 @@ def squarefree_decomposition(
         raise ZeroFormError("cannot decompose the zero form")
     k, u = _dehomogenize(f)
     by_mult: dict[int, BinaryForm] = {}
-    for part, mult in _u_squarefree_parts(_u_monic(u)):
-        by_mult[mult] = _homogenize(0, part).primitive_part()
+    for part, mult in _u_squarefree_parts(u):
+        by_mult[mult] = _homogenize(0, part)
     if k > 0:
         by_mult[k] = by_mult[k] * Y_FORM if k in by_mult else Y_FORM
     parts = tuple(sorted(((g, m) for m, g in by_mult.items()),
@@ -378,26 +449,19 @@ def factor_over_rationals(f: BinaryForm) -> Factorization:
     """Full irreducible factorization over the rationals."""
     if f.is_zero:
         raise ZeroFormError("cannot factor the zero form")
-    content, prim = f.content_and_primitive()
-    k, u = _dehomogenize(prim)
-    factors: list[tuple[BinaryForm, int]] = []
-    if k > 0:
-        factors.append((Y_FORM, k))
+    k, u = _dehomogenize(f)
+    content = Fraction(f.leading_coefficient, u[-1])
+    factors: list[tuple[BinaryForm, int]] = [(Y_FORM, k)] if k else []
     if len(u) > 1:
-        ints = [int(c) for c in u]  # prim has integer coefficients
-        zz = [ZZ(c) for c in reversed(ints)]
-        lead_unit, raw = dup_zz_factor(zz, ZZ)
-        content = content * Fraction(int(lead_unit))
+        lead_unit, raw = dup_zz_factor([ZZ(c) for c in reversed(u)], ZZ)
+        content *= int(lead_unit)
         for coeffs, mult in raw:
-            fac = BinaryForm(len(coeffs) - 1,
-                             tuple(Fraction(int(c)) for c in coeffs))
+            fac = BinaryForm.from_coefficients(len(coeffs) - 1, map(int, coeffs))
             if fac.leading_coefficient < 0:
                 fac = -fac
                 if mult % 2 == 1:
                     content = -content
             factors.append((fac, mult))
-    else:
-        content = content * u[0]
     factors.sort(key=lambda item: item[0].sort_key())
     return Factorization(content, tuple(factors))
 
@@ -422,18 +486,16 @@ def _valuation_at_irreducible(f: BinaryForm, p: BinaryForm) -> int | float:
     irreducible (trusted callers pass factors of a Factorization)."""
     if f.is_zero:
         return INFINITY
-    kf, uf = _dehomogenize(f)
+    kf, u = _dehomogenize(f)
     if p == Y_FORM:
         return kf
     kp, up = _dehomogenize(p)
     if kp > 0:  # p proportional to y handled above; anything else is reducible
         raise ValueError(f"not irreducible: {p}")
     count = 0
-    u = uf
     while len(u) >= len(up):
-        q, r = _u_divmod(u, up)
-        if not _u_is_zero(r):
+        u = _u_exquo(u, up)
+        if u is None:
             break
         count += 1
-        u = q
     return count

@@ -1,20 +1,39 @@
 """Kodaira classification of the singular fibers of the associated fibration.
 
-Each place of the base line is an irreducible binary form; the valuation
-triple (v4, v6, vD) of (f4, f6, delta) there determines the fiber type by the
-standard characteristic-0 criteria for y^2 = x^3 + a x + b.  Two independent
-cross-checks pin the table to the reference data: the Euler number of each
-type equals vD, and the per-type j-value class (0 / 1728 / pole / arbitrary)
-matches the constancy and value of the j-invariant.
+The valuation triple (v4, v6, vD) of (f4, f6, delta) at a place of the base
+line determines the fiber type there by the standard characteristic-0
+criteria for y^2 = x^3 + a x + b.  So the verdict needs no irreducible
+factorization: delta is split into squarefree pieces, one per triple, by
+gcds with f4, f6 and their derivatives, and each piece counts its degree in
+fibers of its type.  The irreducible places are factored out of the pieces
+only when ``FiberConfiguration.places`` is first read, which output does.
+Cross-checks pin the table to the reference data: the Euler number of each
+type equals vD, the pieces add up to degree 12 and Euler number 12, the
+places add up to the same fibers as the pieces, and the per-type j-value
+class (0 / 1728 / pole / arbitrary) matches the constancy and value of the
+j-invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InconsistentValuationError, InternalInvariantError, NonMinimalError
-from .forms import INFINITY, BinaryForm, factor_over_rationals, _valuation_at_irreducible
+from .forms import (
+    INFINITY,
+    Y_FORM,
+    BinaryForm,
+    _dehomogenize,
+    _homogenize,
+    _u_split_by_order,
+    _u_squarefree_parts,
+    factor_over_rationals,
+)
+
+# Unused here; perfbench/tracing.py traces this name in this module.
+from .forms import _valuation_at_irreducible  # noqa: F401
 from .weierstrass import WeierstrassData
 
 ADDITIVE_TAGS = ("II", "III", "IV", "I0*", "IV*", "III*", "II*")
@@ -170,9 +189,14 @@ def classify_place(v4: int | float, v6: int | float, vD: int) -> KodairaType:
 
 @dataclass(frozen=True)
 class Place:
-    """A closed point of the base line carrying a singular fiber."""
+    """A closed point of the base line carrying a singular fiber.
 
-    poly: BinaryForm  # irreducible, primitive, positive leading coefficient
+    In ``FiberConfiguration.pieces`` the same record stands for a piece of the
+    discriminant: ``poly`` is then the squarefree product of the places that
+    share the valuation triple, and ``geometric_degree`` counts them all.
+    """
+
+    poly: BinaryForm  # primitive, positive leading coefficient
     v4: int | float
     v6: int | float
     vD: int
@@ -188,13 +212,15 @@ class FiberConfiguration:
     """Multiset of Kodaira types with geometric multiplicities.
 
     ``entries`` pairs each type with its geometric fiber count (conjugate
-    fibers over one rational place count with the place's degree).  ``places``
-    carries the per-place data when the configuration came from an actual
-    surface; purely combinatorial configurations have no places.
+    fibers over one rational place count with the place's degree).
+    ``pieces`` carries the split discriminant when the configuration came
+    from an actual surface; purely combinatorial configurations have none.
+    ``places`` factors the pieces into irreducible places the first time it
+    is read; equality and hashing look only at ``entries`` and ``pieces``.
     """
 
     entries: tuple[tuple[KodairaType, int], ...]
-    places: tuple[Place, ...] = ()
+    pieces: tuple[Place, ...] = ()
 
     @staticmethod
     def from_counts(counts: dict[KodairaType, int]) -> "FiberConfiguration":
@@ -213,6 +239,24 @@ class FiberConfiguration:
             sorted(counts.items(), key=lambda item: item[0].sort_key())
         )
         return FiberConfiguration(entries, places)
+
+    @cached_property
+    def places(self) -> tuple[Place, ...]:
+        """The irreducible places, sorted, each with its piece's triple."""
+        places = []
+        for piece in self.pieces:
+            if piece.poly.degree == 1:
+                places.append(piece)
+                continue
+            for poly, _ in factor_over_rationals(piece.poly).factors:
+                places.append(replace(piece, poly=poly))
+        places.sort(key=lambda place: place.poly.sort_key())
+        places = tuple(places)
+        if FiberConfiguration.from_places(places).entries != self.entries:
+            raise InternalInvariantError(
+                f"the places of {self} do not add up to its fibers"
+            )
+        return places
 
     def multiset(self) -> frozenset[tuple[str, int | None, int]]:
         return frozenset((t.tag, t.n, c) for t, c in self.entries)
@@ -250,18 +294,46 @@ def configuration(*items: tuple[str, int | None, int]) -> FiberConfiguration:
     return FiberConfiguration.from_counts(counts)
 
 
+def _split_discriminant(wd: WeierstrassData):
+    """(piece, v4, v6, vD) for the squarefree pieces of delta, one per
+    valuation triple; y = 0 is a piece of its own.
+
+    Yun's algorithm splits the affine part of delta by vD; each part is split
+    by the order of vanishing of f4, then of f6.  A simple root of delta
+    needs no split, v4 = v6 = 0 there: if only one of f4, f6 vanished there,
+    delta would not, and if both did, delta would vanish at least twice.  So
+    a discriminant that is squarefree (the generic case) costs one modular
+    check and no gcd.
+    """
+    k, u = _dehomogenize(wd.delta)
+    f4 = None if wd.f4.is_zero else _dehomogenize(wd.f4)
+    f6 = None if wd.f6.is_zero else _dehomogenize(wd.f6)
+    if k:
+        yield Y_FORM, *(INFINITY if f is None else f[0] for f in (f4, f6)), k
+    for part, vD in _u_squarefree_parts(u):
+        if vD == 1:
+            yield _homogenize(0, part), 0, 0, 1
+            continue
+        for piece4, v4 in _split_by_order(part, f4):
+            for piece, v6 in _split_by_order(piece4, f6):
+                yield _homogenize(0, piece), v4, v6, vD
+
+
+def _split_by_order(g: list[int], f: tuple[int, list[int]] | None):
+    """forms._u_split_by_order, with infinite order for a zero form (None)."""
+    return [(g, INFINITY)] if f is None else _u_split_by_order(g, f[1])
+
+
 def classify_fibration(wd: WeierstrassData) -> FiberConfiguration:
-    """Factor the discriminant and classify the fiber over every place."""
-    factorization = factor_over_rationals(wd.delta)
-    places = []
-    for poly, mult in factorization.factors:
-        v4 = INFINITY if wd.f4.is_zero else _valuation_at_irreducible(wd.f4, poly)
-        v6 = INFINITY if wd.f6.is_zero else _valuation_at_irreducible(wd.f6, poly)
-        fiber = classify_place(v4, v6, mult)
-        places.append(Place(poly=poly, v4=v4, v6=v6, vD=mult, fiber=fiber))
-    places.sort(key=lambda place: place.poly.sort_key())
-    config = FiberConfiguration.from_places(tuple(places))
-    total = sum(place.geometric_degree * place.vD for place in places)
+    """Split the discriminant by valuation triple and classify the fiber over
+    every piece; irreducible places are left to ``places``."""
+    pieces = []
+    for poly, v4, v6, vD in _split_discriminant(wd):
+        fiber = classify_place(v4, v6, vD)
+        pieces.append(Place(poly=poly, v4=v4, v6=v6, vD=vD, fiber=fiber))
+    pieces.sort(key=lambda piece: piece.poly.sort_key())
+    config = FiberConfiguration.from_places(tuple(pieces))
+    total = sum(piece.geometric_degree * piece.vD for piece in pieces)
     if total != 12:
         raise InternalInvariantError(
             f"discriminant degree bookkeeping broke: sum deg*vD = {total} != 12"

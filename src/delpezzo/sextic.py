@@ -8,6 +8,9 @@ multiplication.  An expression without ``=`` is read as ``... = 0``.
 
 The parsed polynomial is fully expanded and collected; every monomial must
 have weighted degree exactly 6 under the weights (x, y, z, w) = (1, 1, 2, 3).
+Products and powers above weighted degree ``MAX_WEIGHTED_DEGREE``, and powers
+of numbers above ``MAX_POWER_BITS`` bits, are rejected before they are
+expanded.
 """
 
 from __future__ import annotations
@@ -121,12 +124,39 @@ class Poly:
 
     def __pow__(self, exponent: int) -> "Poly":
         result = Poly.constant(Fraction(1))
-        for _ in range(exponent):
-            result = result * self
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
+
+    @property
+    def weighted_degree(self) -> int:
+        return max((dx + dy + 2 * dz + 3 * dw for dx, dy, dz, dw in self.terms),
+                   default=0)
 
 
 # -- recursive descent parser ----------------------------------------------------
+
+# The parser expands as it goes.  Capping the weighted degree of every product
+# and power before it is expanded bounds the number of terms and the
+# coefficient growth of each intermediate, and capping the size of a power of
+# a number bounds the one case the degree leaves open, so the cost of an input
+# grows with its length, not with its exponents.  Twice the degree of a sextic
+# leaves room for every factor of an accepted equation and for binary forms up
+# to the degree of the discriminant.
+MAX_WEIGHTED_DEGREE = 12
+MAX_POWER_BITS = 4096
+
+
+def _check_degree(degree: int, pos: int) -> None:
+    if degree > MAX_WEIGHTED_DEGREE:
+        raise NotHomogeneousError(
+            f"weighted degree {degree} exceeds the limit {MAX_WEIGHTED_DEGREE}", pos
+        )
 
 
 class _Parser:
@@ -174,8 +204,10 @@ class _Parser:
     def parse_term(self) -> Poly:
         value = self.parse_unary()
         while self.peek().kind == "*":
-            self.advance()
-            value = value * self.parse_unary()
+            pos = self.advance().pos
+            rhs = self.parse_unary()
+            _check_degree(value.weighted_degree + rhs.weighted_degree, pos)
+            value = value * rhs
         return value
 
     def parse_unary(self) -> Poly:
@@ -198,7 +230,19 @@ class _Parser:
         self.advance()
         if self.peek().kind == "^":
             raise EquationError("chained '^' needs parentheses", self.peek().pos)
-        return base ** int(token.value)
+        exponent = int(token.value)
+        degree = base.weighted_degree
+        _check_degree(degree * exponent, token.pos)
+        if not degree:  # a number: the degree limit does not bound its size
+            value = base.terms.get((0, 0, 0, 0), Fraction(0))
+            bits = exponent * max(value.numerator.bit_length(),
+                                  value.denominator.bit_length())
+            if bits > MAX_POWER_BITS:
+                raise EquationError(
+                    f"a power of {bits} bits exceeds the limit {MAX_POWER_BITS}",
+                    token.pos,
+                )
+        return base**exponent
 
     def parse_atom(self) -> Poly:
         token = self.peek()

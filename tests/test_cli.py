@@ -141,6 +141,20 @@ def test_classify_batch_survives_a_deeply_nested_line(tmp_path, capsys):
     assert "nested too deeply" in err
 
 
+def test_classify_batch_survives_a_line_that_is_not_utf8(tmp_path, capsys):
+    line = "w^2 + z^3 + x^5*y"
+    batch = tmp_path / "batch.txt"
+    batch.write_bytes(f"{line}\n".encode() + b"\xff\xfe\n" + f"{line}\n".encode())
+    code, out, err = run(capsys, "classify", "--json", "--file", str(batch))
+    assert code == 1
+    first, middle, last = out.splitlines()
+    assert first == last and json.loads(first)["errors"] == []
+    assert json.loads(middle) == {"errors": [{
+        "code": "syntax", "message": "input line is not valid UTF-8", "stage": "parse",
+    }]}
+    assert err == "\\xff\\xfe: input line is not valid UTF-8\n"
+
+
 def test_classify_missing_file_exit_1(tmp_path, capsys):
     missing = tmp_path / "no-such-file.txt"
     code, out, err = run(capsys, "classify", "--file", str(missing))

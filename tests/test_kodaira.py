@@ -1,12 +1,19 @@
 """Per-place classification, fiber configurations and the reference data."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from delpezzo.errors import InconsistentValuationError, NonMinimalError
-from delpezzo.forms import INFINITY
+from delpezzo.errors import (
+    InconsistentValuationError,
+    InternalInvariantError,
+    InvalidSurfaceError,
+    NonMinimalError,
+)
+from delpezzo.forms import INFINITY, Y_FORM, BinaryForm, valuation
 from delpezzo.kodaira import (
+    FiberConfiguration,
     KodairaType,
     classify_fibration,
     classify_place,
@@ -15,6 +22,7 @@ from delpezzo.kodaira import (
 )
 from delpezzo.sextic import parse_binary_form
 from delpezzo.weierstrass import weierstrass_data
+from perfbench import oracle
 
 
 def form(text, degree):
@@ -224,3 +232,117 @@ def test_configuration_display():
     assert str(configuration(("In*", 1, 1), ("III", None, 1), ("II", None, 1))) == "I1* + III + II"
     assert str(configuration(("I0*", None, 2),)) == "2I0*"
     assert str(configuration(("II", None, 6),)) == "6II"
+
+
+def test_places_are_read_lazily_without_changing_equality():
+    wd = weierstrass_data(form("x^4", 4), form("x^5*y", 6))
+    read, unread = classify_fibration(wd), classify_fibration(wd)
+    assert read.places  # fills the cache of one of the two
+    assert read == unread and hash(read) == hash(unread)
+    assert read != classify_fibration(weierstrass_data(form("y^4", 4), form("x*y^5", 6)))
+
+
+def test_places_must_add_up_to_the_entries():
+    config = classify_fibration(weierstrass_data(form("0", 4), form("x^5*y", 6)))
+    broken = FiberConfiguration(configuration(("II", None, 2)).entries, config.pieces)
+    with pytest.raises(InternalInvariantError):
+        broken.places
+
+
+# -- the split against an independent oracle on structured pairs ------------------
+
+
+def _small_form(rng, degree):
+    while True:
+        coefficients = [rng.randint(-3, 3) for _ in range(degree + 1)]
+        f = BinaryForm.from_coefficients(degree, coefficients)
+        if not f.is_zero:
+            return f
+
+
+def _special_place(rng):
+    """y, a linear form, or a quadratic or cubic form (often irreducible)."""
+    kind = rng.choice(("y", "linear", "quadratic", "cubic"))
+    if kind == "y":
+        return Y_FORM
+    if kind == "linear":
+        return BinaryForm.from_coefficients(1, [rng.randint(1, 3), rng.randint(-3, 3)])
+    if kind == "quadratic":
+        return BinaryForm.from_coefficients(
+            2, [1, rng.randint(-2, 2), rng.choice((1, 2, 3, 5))])
+    return BinaryForm.from_coefficients(
+        3, [1, 0, rng.randint(-2, 2), rng.choice((2, 3, 5))])
+
+
+def _power_product(rng, p, e, degree):
+    """A small constant times p^e times powers of small forms, of the degree."""
+    f = rng.choice((-3, -2, -1, 1, 2, 3)) * p**e
+    rest = degree - e * p.degree
+    while rest:
+        d = rng.randint(1, min(rest, 3))
+        k = rng.randint(1, rest // d)
+        f = f * _small_form(rng, d) ** k
+        rest -= d * k
+    return f
+
+
+def structured_pair(rng):
+    """(f4, f6) built from powers of small forms sharing a special place p.
+
+    Products give the additive types; the tie f4 = -3 s^2 a^2 p^(2m),
+    f6 = 2 s^3 a^3 p^(3m) + p^(3m+k) r cancels in 4 f4^3 + 27 f6^2 and gives
+    I_k (m = 0) or I_k* (m = 1) at p."""
+    p = _special_place(rng)
+    if rng.random() < 0.3:
+        m = 1 if p.degree == 1 and rng.random() < 0.5 else 0
+        k = rng.randint(1, (6 - 3 * m) // p.degree)
+        s = rng.choice((1, 2, -1))
+        a = _small_form(rng, 2 - m)
+        r = _small_form(rng, 6 - (3 * m + k) * p.degree)
+        f4 = -3 * s**2 * a**2 * p ** (2 * m)
+        f6 = 2 * s**3 * a**3 * p ** (3 * m) + p ** (3 * m + k) * r
+        return f4, f6
+    f4 = _power_product(rng, p, rng.randint(0, 4 // p.degree), 4)
+    f6 = _power_product(rng, p, rng.randint(0, 6 // p.degree), 6)
+    zero = rng.random()
+    if zero < 0.15:
+        f4 = BinaryForm.zero(4)
+    elif zero < 0.3:
+        f6 = BinaryForm.zero(6)
+    return f4, f6
+
+
+def _reach_key(place):
+    if place.poly == Y_FORM:
+        kind = "y"
+    else:
+        kind = "rational" if place.poly.degree == 1 else "conjugate"
+    tag = place.fiber.tag
+    return kind, "In>=2" if tag == "In" and place.fiber.n >= 2 else tag
+
+
+def test_split_matches_oracle_on_structured_pairs():
+    rng = random.Random(20261018)
+    reached, accepted = set(), 0
+    for _ in range(500):
+        f4, f6 = structured_pair(rng)
+        try:
+            wd = weierstrass_data(f4, f6)
+        except InvalidSurfaceError:
+            continue
+        accepted += 1
+        config = classify_fibration(wd)
+        expected = oracle.fiber_configuration(f4.coefficients, f6.coefficients)
+        assert config.multiset() == expected
+        for place in config.places:
+            triple = tuple(valuation(f, place.poly) for f in (wd.f4, wd.f6, wd.delta))
+            assert (place.v4, place.v6, place.vD) == triple, (f4, f6, place)
+            reached.add(_reach_key(place))
+    assert accepted > 400
+    every = {"II", "III", "IV", "I0*", "In*", "IV*", "III*", "II*", "In>=2"}
+    assert {tag for kind, tag in reached if kind == "rational"} >= every
+    assert {tag for kind, tag in reached if kind == "y"} >= every
+    # deg * vD <= 12 leaves conjugate places only the types with vD <= 6
+    assert {tag for kind, tag in reached if kind == "conjugate"} >= {
+        "II", "III", "IV", "I0*", "In>=2"
+    }

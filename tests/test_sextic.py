@@ -1,9 +1,11 @@
 """Parsing of equations over P(1,1,2,3) and of plain binary forms."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
+from delpezzo.catalog import witness_catalog
 from delpezzo.errors import (
     EquationError,
     NotHomogeneousError,
@@ -76,6 +78,22 @@ def test_exponent_rules():
         parse_polynomial("x^(2)")
     with pytest.raises(EquationError, match="chained"):
         parse_polynomial("x^2^3")
+
+
+@pytest.mark.parametrize("text", ["x^100000000", "(x+y+z+w)^60", "2^100000000",
+                                  "w^2 + z^3 + " + "*".join(["(x+y+z+w)"] * 60)])
+def test_huge_powers_and_products_are_rejected_quickly(text):
+    start = time.perf_counter()
+    with pytest.raises(EquationError, match="exceeds the limit"):
+        parse_polynomial(text)
+    assert time.perf_counter() - start < 1
+
+
+def test_every_catalog_witness_parses_under_the_limits():
+    for witness in witness_catalog():
+        parse_sextic(witness.equation)
+    assert parse_polynomial("(x+y+z+w)^4").terms == parse_polynomial(
+        "(x+y+z+w)*(x+y+z+w)*(x+y+z+w)*(x+y+z+w)").terms
 
 
 def test_no_implicit_multiplication():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import delpezzo.forms as forms
 from delpezzo.errors import InvalidSurfaceError
 from delpezzo.forms import BinaryForm
 from delpezzo.kodaira import DuValLabel, configuration
@@ -21,6 +22,7 @@ from delpezzo.surfaces import (
     SingularityConfig,
 )
 from delpezzo.weierstrass import JInvariant, weierstrass_data
+from perfbench import gen
 
 
 def form(text, degree):
@@ -237,3 +239,25 @@ def test_classify_weierstrass_equals_equation_path():
             f"w^2 - z^3 - ({f4_text})*z - ({f6_text})"
         )
         assert direct.to_json() == via_text.to_json()
+
+
+def test_generic_verdicts_factor_nothing_and_output_factors_once(monkeypatch):
+    calls = []
+    real = forms.dup_zz_factor
+
+    def counted(*args):
+        calls.append(tuple(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(forms, "dup_zz_factor", counted)
+    stream = gen.dense_stream(5)
+    for _ in range(20):
+        report = classify_surface(next(stream).text)
+        assert calls == []
+        report.to_json()
+        assert len(calls) == len(set(calls))
+        assert len(calls) <= sum(p.poly.degree > 1 for p in report.fibers.pieces)
+        made = len(calls)
+        report.to_json()
+        assert len(calls) == made
+        calls.clear()
