@@ -133,8 +133,8 @@ def _classify_line(line: str | bytes) -> ClassificationReport:
     return classify_surface(line)
 
 
-def _emit_report(report: ClassificationReport, as_json: bool, out) -> None:
-    print(report.to_json() if as_json else report.to_text(), file=out)
+def _render(report: ClassificationReport, as_json: bool) -> str:
+    return report.to_json() if as_json else report.to_text()
 
 
 def _cmd_classify(args, out, err) -> int:
@@ -155,7 +155,7 @@ def _cmd_classify(args, out, err) -> int:
         except ValueError as exc:
             print(str(exc), file=err)
             return EXIT_USAGE
-        _emit_report(report, args.json, out)
+        print(_render(report, args.json), file=out)
         return EXIT_OK
 
     if uses_pair:
@@ -180,7 +180,7 @@ def _cmd_classify(args, out, err) -> int:
                 print(_error_payload(exc), file=out)
             print(str(exc), file=err)
             return EXIT_INVALID_SURFACE
-        _emit_report(report, args.json, out)
+        print(_render(report, args.json), file=out)
         return EXIT_OK
 
     try:
@@ -195,7 +195,9 @@ def _cmd_classify(args, out, err) -> int:
     exit_code = EXIT_OK
     for line in inputs:
         try:
-            report = _classify_line(line)
+            # rendering names the places, which factors; a failure there
+            # belongs to this line like any other
+            text = _render(_classify_line(line), args.json)
         except DelPezzoError as exc:
             if args.json:
                 print(_error_payload(exc), file=out)
@@ -207,7 +209,7 @@ def _cmd_classify(args, out, err) -> int:
             else:
                 exit_code = max(exit_code, EXIT_USAGE)
             continue
-        _emit_report(report, args.json, out)
+        print(text, file=out)
     return exit_code
 
 

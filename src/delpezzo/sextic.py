@@ -234,9 +234,11 @@ class _Parser:
         degree = base.weighted_degree
         _check_degree(degree * exponent, token.pos)
         if not degree:  # a number: the degree limit does not bound its size
+            # 0, 1 and -1 never grow; any other p/q grows by at least one and
+            # at most twice this many bits per factor
             value = base.terms.get((0, 0, 0, 0), Fraction(0))
-            bits = exponent * max(value.numerator.bit_length(),
-                                  value.denominator.bit_length())
+            bits = exponent * (max(value.numerator.bit_length(),
+                                   value.denominator.bit_length()) - 1)
             if bits > MAX_POWER_BITS:
                 raise EquationError(
                     f"a power of {bits} bits exceeds the limit {MAX_POWER_BITS}",

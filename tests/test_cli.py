@@ -155,6 +155,23 @@ def test_classify_batch_survives_a_line_that_is_not_utf8(tmp_path, capsys):
     assert err == "\\xff\\xfe: input line is not valid UTF-8\n"
 
 
+def test_classify_batch_reports_a_failure_naming_places_on_its_line(
+        tmp_path, monkeypatch, capsys):
+    # the places are named (and checked) while the report is rendered
+    line = "w^2 + z^3 + x^5*y"  # linear places only: nothing is factored
+    batch = tmp_path / "batch.txt"
+    batch.write_text(f"{line}\nw^2 + z^3 + x^6 + y^6\n{line}\n")
+    monkeypatch.setattr("delpezzo.kodaira.factor_over_rationals",
+                        lambda f: type("NoFactors", (), {"factors": ()})())
+    code, out, err = run(capsys, "classify", "--json", "--file", str(batch))
+    assert code == 1
+    first, middle, last = out.splitlines()
+    assert first == last and json.loads(first)["errors"] == []
+    [error] = json.loads(middle)["errors"]
+    assert error["code"] == "internal" and "do not add up" in error["message"]
+    assert err.startswith("w^2 + z^3 + x^6 + y^6: ") and err.count("\n") == 1
+
+
 def test_classify_missing_file_exit_1(tmp_path, capsys):
     missing = tmp_path / "no-such-file.txt"
     code, out, err = run(capsys, "classify", "--file", str(missing))

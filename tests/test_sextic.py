@@ -94,6 +94,9 @@ def test_every_catalog_witness_parses_under_the_limits():
         parse_sextic(witness.equation)
     assert parse_polynomial("(x+y+z+w)^4").terms == parse_polynomial(
         "(x+y+z+w)*(x+y+z+w)*(x+y+z+w)*(x+y+z+w)").terms
+    # numbers that do not grow pass the size limit at any exponent
+    assert parse_polynomial("1^5000 + (-1)^5001 + 0^5000 + (x-x)^5000").terms == {}
+    assert parse_polynomial("(1/2)^4096").terms == {(0, 0, 0, 0): Fraction(1, 2**4096)}
 
 
 def test_no_implicit_multiplication():
