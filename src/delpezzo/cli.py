@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -344,17 +345,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    out, err = sys.stdout, sys.stderr
-    if args.command == "classify":
-        return _cmd_classify(args, out, err)
-    if args.command == "enumerate":
-        return _cmd_enumerate(args, out, err)
-    if args.command == "catalog":
-        return _cmd_catalog(args, out, err)
-    if args.command == "tables":
-        return _cmd_tables(args, out, err)
-    parser.print_usage(err)
-    return EXIT_USAGE
+    command = {"classify": _cmd_classify, "enumerate": _cmd_enumerate,
+               "catalog": _cmd_catalog, "tables": _cmd_tables}[args.command]
+    try:
+        code = command(args, sys.stdout, sys.stderr)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader left (``| head``); send what is still buffered to
+        # devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

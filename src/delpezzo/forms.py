@@ -5,15 +5,23 @@ entry ``i`` being the coefficient of ``x**(d-i) * y**i``.  The identically-zero
 form keeps a declared degree so homogeneous arithmetic stays well-typed (f4
 may be the zero form of degree 4).
 
-Everything here is exact: no rounding occurs anywhere.  gcd, squarefree
-splitting, valuations and the split of a squarefree polynomial by the order
-of vanishing of another run on primitive integer polynomials through the
-dehomogenization ``t = x/y``, with the pure ``y``-power ("point at infinity")
-factor handled separately; none of them factors.  A modular certificate
-skips the integer gcds when a polynomial is squarefree, or two are coprime,
-modulo a large prime, which is the generic case.  sympy's dense Zassenhaus
-routine is used only by :func:`factor_over_rationals`, which names the
-irreducible places.
+Everything here is exact: no rounding occurs anywhere.  A coefficient is an
+``int`` when its value is integral and a ``Fraction`` only when it is not,
+the rule Python's own number tower follows: ``int`` and ``Fraction`` mix
+exactly, and a sum or product of ints stays an int, so integral inputs are
+never wrapped.  Floats never appear: the constructors reject them, and every
+division of coefficients is written ``Fraction(a, b)``, because ``a / b`` of
+two ints is a float.  Values, not types, decide equality, hashing, sorting
+and ``str``, so the rule changes no result.
+
+gcd, squarefree splitting, valuations and the split of a squarefree
+polynomial by the order of vanishing of another run on primitive integer
+polynomials through the dehomogenization ``t = x/y``, with the pure
+``y``-power ("point at infinity") factor handled separately; none of them
+factors.  A modular certificate skips the integer gcds when a polynomial is
+squarefree, or two are coprime, modulo a large prime, which is the generic
+case.  sympy's dense Zassenhaus routine is used only by
+:func:`factor_over_rationals`, which names the irreducible places.
 """
 
 from __future__ import annotations
@@ -21,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd as _int_gcd
 
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_zz_factor
@@ -31,24 +37,26 @@ from .errors import DegreeMismatchError, ZeroFormError
 
 INFINITY = math.inf
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _exact(value) -> int | Fraction:
+    """value as an int when it is integral, else as a Fraction."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
 class BinaryForm:
-    """Homogeneous polynomial in x, y with exact rational coefficients."""
+    """Homogeneous polynomial in x, y with exact rational coefficients.
+
+    Each coefficient is an ``int`` when integral and a non-integral
+    ``Fraction`` otherwise, never a float; the constructors normalize.
+    """
 
     degree: int
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if self.degree < 0:
@@ -61,31 +69,31 @@ class BinaryForm:
 
     @staticmethod
     def from_coefficients(degree: int, coefficients) -> "BinaryForm":
-        return BinaryForm(degree, tuple(_as_fraction(c) for c in coefficients))
+        return BinaryForm(degree, tuple(_exact(c) for c in coefficients))
 
     @staticmethod
     def zero(degree: int) -> "BinaryForm":
-        return BinaryForm(degree, (_ZERO,) * (degree + 1))
+        return BinaryForm(degree, (0,) * (degree + 1))
 
     @staticmethod
     def constant(value) -> "BinaryForm":
-        return BinaryForm(0, (_as_fraction(value),))
+        return BinaryForm(0, (_exact(value),))
 
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
 
-    def coefficient(self, x_power: int) -> Fraction:
+    def coefficient(self, x_power: int) -> int | Fraction:
         """Coefficient of x**x_power * y**(degree - x_power)."""
         return self.coefficients[self.degree - x_power]
 
     @property
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> int | Fraction:
         """First nonzero coefficient in x-major order (0 for the zero form)."""
         for c in self.coefficients:
             if c != 0:
                 return c
-        return _ZERO
+        return 0
 
     # -- ring operations ----------------------------------------------------
 
@@ -96,9 +104,8 @@ class BinaryForm:
             raise DegreeMismatchError(
                 f"cannot add forms of degrees {self.degree} and {other.degree}"
             )
-        return BinaryForm(
-            self.degree,
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
+        return BinaryForm.from_coefficients(
+            self.degree, (a + b for a, b in zip(self.coefficients, other.coefficients))
         )
 
     def __sub__(self, other: "BinaryForm") -> "BinaryForm":
@@ -108,9 +115,8 @@ class BinaryForm:
             raise DegreeMismatchError(
                 f"cannot subtract forms of degrees {self.degree} and {other.degree}"
             )
-        return BinaryForm(
-            self.degree,
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
+        return BinaryForm.from_coefficients(
+            self.degree, (a - b for a, b in zip(self.coefficients, other.coefficients))
         )
 
     def __neg__(self) -> "BinaryForm":
@@ -118,32 +124,19 @@ class BinaryForm:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return BinaryForm(self.degree, tuple(a * c for a in self.coefficients))
+            return BinaryForm.from_coefficients(
+                self.degree, (a * other for a in self.coefficients)
+            )
         if not isinstance(other, BinaryForm):
             return NotImplemented
         d = self.degree + other.degree
-        # integer fast path: plain int convolution, wrap once at the end
-        if all(a.denominator == 1 for a in self.coefficients) and all(
-            b.denominator == 1 for b in other.coefficients
-        ):
-            av = [a.numerator for a in self.coefficients]
-            bv = [b.numerator for b in other.coefficients]
-            out_int = [0] * (d + 1)
-            for i, a in enumerate(av):
-                if a:
-                    for j, b in enumerate(bv):
-                        if b:
-                            out_int[i + j] += a * b
-            return BinaryForm(d, tuple(Fraction(v) for v in out_int))
-        out = [_ZERO] * (d + 1)
+        out = [0] * (d + 1)
         for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                if b != 0:
-                    out[i + j] += a * b
-        return BinaryForm(d, tuple(out))
+            if a:
+                for j, b in enumerate(other.coefficients):
+                    if b:
+                        out[i + j] += a * b
+        return BinaryForm.from_coefficients(d, out)
 
     __rmul__ = __mul__
 
@@ -167,15 +160,8 @@ class BinaryForm:
         positive leading coefficient (x-major).  Zero form is rejected."""
         if self.is_zero:
             raise ZeroFormError("the zero form has no primitive part")
-        den = reduce(lambda a, b: a * b // _int_gcd(a, b),
-                     (c.denominator for c in self.coefficients), 1)
-        ints = [int(c * den) for c in self.coefficients]
-        g = reduce(_int_gcd, (abs(v) for v in ints))
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            g = -g
-        prim = BinaryForm(self.degree, tuple(Fraction(v // g) for v in ints))
-        return Fraction(g, den), prim
+        k, u = _dehomogenize(self)
+        return Fraction(self.coefficients[k], u[-1]), _homogenize(k, u)
 
     def primitive_part(self) -> "BinaryForm":
         return self.content_and_primitive()[1]
@@ -406,7 +392,7 @@ def _u_split_by_order(g: list[int], f: list[int]) -> list[tuple[list[int], int]]
     return pieces
 
 
-Y_FORM = BinaryForm(1, (_ZERO, _ONE))
+Y_FORM = BinaryForm(1, (0, 1))
 
 
 def form_gcd(a: BinaryForm, b: BinaryForm) -> BinaryForm:
@@ -438,11 +424,8 @@ def squarefree_decomposition(
         by_mult[k] = by_mult[k] * Y_FORM if k in by_mult else Y_FORM
     parts = tuple(sorted(((g, m) for m, g in by_mult.items()),
                          key=lambda item: (item[1], item[0].sort_key())))
-    product = BinaryForm.constant(1)
-    for g, m in parts:
-        product = product * g**m
-    content = f.leading_coefficient / product.leading_coefficient
-    return content, parts
+    # prod(g_i ** i) is y**k times the primitive u, whose lead is u[-1]
+    return Fraction(f.leading_coefficient, u[-1]), parts
 
 
 def factor_over_rationals(f: BinaryForm) -> Factorization:

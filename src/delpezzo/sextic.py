@@ -1,16 +1,21 @@
 """Parsing of sextic equations in the weighted projective space P(1,1,2,3).
 
 The input language covers expressions and equations ``LHS = RHS`` over the
-variables x, y, z, w with integer and fraction literals (``p/q``), the
-operators ``+ - * ^``, unary minus and parentheses.  ``^`` binds tighter than
-``*``, which binds tighter than ``+``/``-``; there is no implicit
-multiplication.  An expression without ``=`` is read as ``... = 0``.
+variables x, y, z, w with integer and fraction literals (``p/q``, ``q`` not
+zero), the operators ``+ - * ^``, unary minus and parentheses.  ``^`` binds
+tighter than ``*``, which binds tighter than ``+``/``-``; there is no
+implicit multiplication.  An expression without ``=`` is read as ``... = 0``.
 
 The parsed polynomial is fully expanded and collected; every monomial must
 have weighted degree exactly 6 under the weights (x, y, z, w) = (1, 1, 2, 3).
 Products and powers above weighted degree ``MAX_WEIGHTED_DEGREE``, and powers
 of numbers above ``MAX_POWER_BITS`` bits, are rejected before they are
 expanded.
+
+Coefficients follow the rule of :mod:`delpezzo.forms`: an ``int`` when the
+value is integral, a ``Fraction`` only when it is not, never a float.  An
+integer literal is an ``int``, ``p/q`` a ``Fraction`` unless ``q`` divides
+``p``, and sums and products of ints stay ints.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EquationError, NotHomogeneousError, UnknownVariableError
-from .forms import BinaryForm
+from .forms import BinaryForm, _exact
 
 WEIGHTS = {"x": 1, "y": 1, "z": 2, "w": 3}
 
@@ -34,7 +39,7 @@ _OPERATORS = set("+-*^()=")
 @dataclass(frozen=True)
 class _Token:
     kind: str  # "num", "name", or the operator character
-    value: Fraction | str | None
+    value: int | Fraction | str | None
     pos: int
 
 
@@ -50,19 +55,21 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(ch, None, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # the digits int() accepts; str.isdigit takes more
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
-            numerator = int(text[start:i])
-            if i < n and text[i] == "/" and i + 1 < n and text[i + 1].isdigit():
+            value = int(text[start:i])
+            if i < n and text[i] == "/" and i + 1 < n and text[i + 1].isdecimal():
                 i += 1
                 dstart = i
-                while i < n and text[i].isdigit():
+                while i < n and text[i].isdecimal():
                     i += 1
-                tokens.append(_Token("num", Fraction(numerator, int(text[dstart:i])), start))
-            else:
-                tokens.append(_Token("num", Fraction(numerator), start))
+                denominator = int(text[dstart:i])
+                if not denominator:
+                    raise EquationError("zero denominator", dstart)
+                value = _exact(Fraction(value, denominator))
+            tokens.append(_Token("num", value, start))
             continue
         if ch.isalpha():
             start = i
@@ -86,44 +93,44 @@ class Poly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, terms: dict[Monomial, int | Fraction] | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
 
     @staticmethod
-    def constant(value: Fraction) -> "Poly":
+    def constant(value: int | Fraction) -> "Poly":
         return Poly({(0, 0, 0, 0): value} if value else {})
 
     @staticmethod
     def variable(name: str) -> "Poly":
         exps = [0, 0, 0, 0]
         exps["xyzw".index(name)] = 1
-        return Poly({tuple(exps): Fraction(1)})
+        return Poly({tuple(exps): 1})
 
     def __add__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
         return Poly(terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) - c
+            terms[m] = terms.get(m, 0) - c
         return Poly(terms)
 
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+                terms[m] = terms.get(m, 0) + c1 * c2
         return Poly(terms)
 
     def __pow__(self, exponent: int) -> "Poly":
-        result = Poly.constant(Fraction(1))
+        result = Poly.constant(1)
         base = self
         while exponent:
             if exponent & 1:
@@ -236,7 +243,7 @@ class _Parser:
         if not degree:  # a number: the degree limit does not bound its size
             # 0, 1 and -1 never grow; any other p/q grows by at least one and
             # at most twice this many bits per factor
-            value = base.terms.get((0, 0, 0, 0), Fraction(0))
+            value = base.terms.get((0, 0, 0, 0), 0)
             bits = exponent * (max(value.numerator.bit_length(),
                                    value.denominator.bit_length()) - 1)
             if bits > MAX_POWER_BITS:
@@ -282,12 +289,15 @@ def parse_polynomial(text: str) -> Poly:
 @dataclass(frozen=True)
 class GeneralSextic:
     """c_w2*w^2 + c_wz*w*z + c_w*w + c_z3*z^3 + c_z2*z^2 + c_z*z + c_0,
-    the general form of weighted degree 6 in P(1,1,2,3)."""
+    the general form of weighted degree 6 in P(1,1,2,3).
 
-    c_w2: Fraction
+    The scalars and the form coefficients are ints when integral and
+    non-integral Fractions otherwise; the parser never makes a float."""
+
+    c_w2: int | Fraction
     c_wz: BinaryForm  # degree 1
     c_w: BinaryForm  # degree 3
-    c_z3: Fraction
+    c_z3: int | Fraction
     c_z2: BinaryForm  # degree 2
     c_z: BinaryForm  # degree 4
     c_0: BinaryForm  # degree 6
@@ -319,7 +329,7 @@ def sextic_from_polynomial(poly: Poly) -> GeneralSextic:
     """Collect an expanded polynomial into the GeneralSextic slots."""
     if not poly.terms:
         raise NotHomogeneousError("the zero polynomial does not define a surface")
-    slots: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {
+    slots: dict[tuple[int, int], dict[tuple[int, int], int | Fraction]] = {
         key: {} for key in _SLOT_DEGREES
     }
     for m, c in poly.terms.items():
@@ -333,16 +343,16 @@ def sextic_from_polynomial(poly: Poly) -> GeneralSextic:
 
     def form_of(zw: tuple[int, int]) -> BinaryForm:
         degree = _SLOT_DEGREES[zw]
-        coeffs = [Fraction(0)] * (degree + 1)
+        coeffs = [0] * (degree + 1)
         for (dx, dy), c in slots[zw].items():
             coeffs[dy] = c  # dx + dy = degree, entry i holds x^(degree-i) y^i
         return BinaryForm.from_coefficients(degree, coeffs)
 
     return GeneralSextic(
-        c_w2=slots[(0, 2)].get((0, 0), Fraction(0)),
+        c_w2=_exact(slots[(0, 2)].get((0, 0), 0)),
         c_wz=form_of((1, 1)),
         c_w=form_of((0, 1)),
-        c_z3=slots[(3, 0)].get((0, 0), Fraction(0)),
+        c_z3=_exact(slots[(3, 0)].get((0, 0), 0)),
         c_z2=form_of((2, 0)),
         c_z=form_of((1, 0)),
         c_0=form_of((0, 0)),
@@ -356,7 +366,7 @@ def parse_binary_form(text: str, degree: int) -> BinaryForm:
     the requested degree.
     """
     poly = parse_polynomial(text)
-    coeffs = [Fraction(0)] * (degree + 1)
+    coeffs = [0] * (degree + 1)
     for m, c in poly.terms.items():
         dx, dy, dz, dw = m
         if dz or dw:

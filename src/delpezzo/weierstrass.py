@@ -36,7 +36,7 @@ from .errors import (
     ZeroDiscriminantError,
     ZeroFormError,
 )
-from .forms import Y_FORM, BinaryForm, squarefree_decomposition
+from .forms import Y_FORM, BinaryForm, _exact, squarefree_decomposition
 
 # Unused here; perfbench/tracing.py traces these names in this module.
 from .forms import _valuation_at_irreducible, factor_over_rationals, form_gcd  # noqa: F401
@@ -49,11 +49,11 @@ class JInvariant:
 
     ``constant`` is True exactly when f4^3 and f6^2 are proportional forms
     (including either being zero); ``value`` is the exact rational constant in
-    that case and None otherwise.
+    that case (an int when integral, else a Fraction) and None otherwise.
     """
 
     constant: bool
-    value: Fraction | None = None
+    value: int | Fraction | None = None
 
     @property
     def kind(self) -> str:
@@ -78,7 +78,7 @@ def discriminant(f4: BinaryForm, f6: BinaryForm) -> BinaryForm:
 
 
 def _discriminant_from_parts(cube: BinaryForm, square: BinaryForm) -> BinaryForm:
-    delta = (4 * cube + 27 * square) * Fraction(-16)
+    delta = (4 * cube + 27 * square) * -16
     if delta.is_zero:
         raise ZeroDiscriminantError(
             "not an elliptic fibration: discriminant vanishes identically"
@@ -92,40 +92,31 @@ def j_invariant(f4: BinaryForm, f6: BinaryForm) -> JInvariant:
     Constant if and only if f4^3 and f6^2 are linearly dependent as forms;
     the constant value is 0 when f4 = 0 and 1728 when f6 = 0.
     """
-    if f4.is_zero or f6.is_zero:
-        return _j_from_parts(f4, f6, None, None)
-    return _j_from_parts(f4, f6, f4**3, f6**2)
+    return _j_from_parts(f4**3, f6**2)
 
 
-def _j_from_parts(
-    f4: BinaryForm,
-    f6: BinaryForm,
-    cube: BinaryForm | None,
-    square: BinaryForm | None,
-) -> JInvariant:
-    if f4.is_zero and f6.is_zero:
+def _j_from_parts(cube: BinaryForm, square: BinaryForm) -> JInvariant:
+    """j from f4^3 and f6^2 (f4 is zero exactly when its cube is)."""
+    if cube.is_zero and square.is_zero:
         raise ZeroDiscriminantError("j undefined: discriminant vanishes identically")
-    if f4.is_zero:
-        return JInvariant(True, Fraction(0))
-    if f6.is_zero:
-        return JInvariant(True, Fraction(1728))
-    ratio: Fraction | None = None
+    if cube.is_zero:
+        return JInvariant(True, 0)
+    if square.is_zero:
+        return JInvariant(True, 1728)
+    ratio = None
     for a, b in zip(cube.coefficients, square.coefficients):
         if b == 0:
             if a != 0:
                 return JInvariant(False)
             continue
-        r = a / b
+        r = Fraction(a, b)
         if ratio is None:
             ratio = r
         elif r != ratio:
             return JInvariant(False)
-    if ratio is None:  # square == 0 handled above
-        return JInvariant(False)
     # f4^3 = ratio * f6^2, so j = 1728 * 4 ratio / (4 ratio + 27); the
     # denominator cannot vanish, that would make delta identically zero.
-    value = Fraction(6912) * ratio / (4 * ratio + 27)
-    return JInvariant(True, value)
+    return JInvariant(True, _exact(6912 * ratio / (4 * ratio + 27)))
 
 
 def cube_test(f6: BinaryForm) -> bool:
@@ -143,7 +134,7 @@ def _linear_root(f: BinaryForm) -> BinaryForm | None:
     lead, second = f.coefficients[0], f.coefficients[1]
     if lead == 0:
         return Y_FORM if not any(f.coefficients[:-1]) else None
-    root = BinaryForm(1, (Fraction(1), second / (f.degree * lead)))
+    root = BinaryForm.from_coefficients(1, (1, Fraction(second, f.degree * lead)))
     return root.primitive_part() if lead * root**f.degree == f else None
 
 
@@ -169,14 +160,10 @@ def weierstrass_data(f4: BinaryForm, f6: BinaryForm) -> WeierstrassData:
     """Validate a short-Weierstrass pair and compute delta and j."""
     if f4.degree != 4 or f6.degree != 6:
         raise ValueError("a short-Weierstrass pair has degrees 4 and 6")
-    cube = None if f4.is_zero else f4**3
-    square = None if f6.is_zero else f6**2
-    delta = _discriminant_from_parts(
-        cube if cube is not None else BinaryForm.zero(12),
-        square if square is not None else BinaryForm.zero(12),
-    )
+    cube, square = f4**3, f6**2
+    delta = _discriminant_from_parts(cube, square)
     _check_minimal(f4, f6)
-    return WeierstrassData(f4=f4, f6=f6, delta=delta, j=_j_from_parts(f4, f6, cube, square))
+    return WeierstrassData(f4=f4, f6=f6, delta=delta, j=_j_from_parts(cube, square))
 
 
 def reduce_to_short(sextic: GeneralSextic) -> WeierstrassData:
@@ -199,9 +186,9 @@ def reduce_to_short(sextic: GeneralSextic) -> WeierstrassData:
     # Now a w^2 = b z^3 + C z^2 + D z + E; the rescaling z -> (a b) z,
     # w -> (a b^2) w makes both sides monic.
     b = -sextic.c_z3
-    c2 = -cz2 * (Fraction(1) / (a * b**2))
-    c4 = -cz * (Fraction(1) / (a**2 * b**3))
-    c6 = -c0 * (Fraction(1) / (a**3 * b**4))
+    c2 = -cz2 * Fraction(1, a * b**2)
+    c4 = -cz * Fraction(1, a**2 * b**3)
+    c6 = -c0 * Fraction(1, a**3 * b**4)
     # Depress the cubic: z -> z - c2 / 3.
     f4 = c4 - Fraction(1, 3) * (c2 * c2)
     f6 = c6 - Fraction(1, 3) * (c2 * c4) + Fraction(2, 27) * (c2 * c2 * c2)

@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
+import delpezzo
 from delpezzo.cli import main
 
 
@@ -153,6 +157,38 @@ def test_classify_batch_survives_a_line_that_is_not_utf8(tmp_path, capsys):
         "code": "syntax", "message": "input line is not valid UTF-8", "stage": "parse",
     }]}
     assert err == "\\xff\\xfe: input line is not valid UTF-8\n"
+
+
+def test_classify_batch_survives_bad_number_literals(capsys):
+    good = ["w^2+z^3+x^5*y", "w^2 + z^3 + x^4*y^2"]
+    bad = ["w^2 + z^3 + 1/0*x^6", "w^2 + z^3 + \u00b2*x^6 + y^6"]
+    code, out, err = run(capsys, "classify", "--json", bad[0], good[0], bad[1], good[1])
+    assert code == 1
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [line["errors"][0]["code"] for line in lines[::2]] == ["syntax", "syntax"]
+    assert [line["errors"] for line in lines[1::2]] == [[], []]
+    assert [line.split(": ")[0] for line in err.splitlines()] == bad
+    code, out, err = run(capsys, "classify", "--f4", "1/0*x^4", "--f6", "x^6")
+    assert code == 1 and out == ""
+    assert err == "zero denominator (at position 2)\n"
+
+
+def test_classify_into_a_closed_pipe_exits_1_without_traceback(tmp_path):
+    # more output than a pipe holds, so the CLI is still writing when the
+    # reader closes its end
+    batch = tmp_path / "batch.txt"
+    batch.write_text("w^2 + z^3 + x^5*y\n" * 1000)
+    src = os.path.dirname(os.path.dirname(delpezzo.__file__))
+    errors = tmp_path / "stderr.txt"
+    with open(errors, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "delpezzo.cli", "classify", "--json", "--file", str(batch)],
+            stdout=subprocess.PIPE, stderr=err, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert json.loads(proc.stdout.readline())["errors"] == []
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in errors.read_text()
 
 
 def test_classify_batch_reports_a_failure_naming_places_on_its_line(

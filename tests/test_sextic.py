@@ -63,6 +63,13 @@ def test_syntax_error_with_position():
         parse_sextic("w^2 + z^3 + x^5*y)")
     with pytest.raises(EquationError):
         parse_sextic("")
+    with pytest.raises(EquationError, match="zero denominator") as info:
+        parse_sextic("w^2 + z^3 + 1/0*x^6")
+    assert info.value.position == 14  # the denominator
+    # a superscript two is a digit to str.isdigit but not to int()
+    with pytest.raises(EquationError, match="unexpected character") as info:
+        parse_sextic("w^2 + z^3 + \u00b2*x^6 + y^6")
+    assert info.value.position == 12
 
 
 def test_fraction_literals_and_unary_minus():

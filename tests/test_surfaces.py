@@ -1,15 +1,17 @@
 """Coregularity decisions, Picard rank, labels, moduli, full pipeline."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 import delpezzo.forms as forms
+from delpezzo.catalog import witness_catalog
 from delpezzo.errors import InvalidSurfaceError
 from delpezzo.forms import BinaryForm
 from delpezzo.kodaira import DuValLabel, configuration
-from delpezzo.sextic import parse_binary_form
+from delpezzo.sextic import parse_binary_form, parse_sextic
 from delpezzo.surfaces import (
     classify_surface,
     classify_weierstrass,
@@ -21,8 +23,8 @@ from delpezzo.surfaces import (
     picard_rank,
     SingularityConfig,
 )
-from delpezzo.weierstrass import JInvariant, weierstrass_data
-from perfbench import gen
+from delpezzo.weierstrass import JInvariant, reduce_to_short, weierstrass_data
+from perfbench import gen, workloads
 
 
 def form(text, degree):
@@ -261,3 +263,37 @@ def test_generic_verdicts_factor_nothing_and_output_factors_once(monkeypatch):
         report.to_json()
         assert len(calls) == made
         calls.clear()
+
+
+def _exact(value):
+    """int, or a Fraction that is not integral: never a float, never an
+    integral Fraction."""
+    return type(value) is int or (type(value) is Fraction and value.denominator != 1)
+
+
+def test_coefficients_are_ints_unless_fractional():
+    cases = itertools.chain(
+        (w.equation for w in witness_catalog()),
+        (c.text for c in itertools.islice(workloads.transformed_cases(3), 100)),
+        (c.text for c in itertools.islice(workloads.dense_cases(3), 10)),
+    )
+    rejected = 0
+    for text in cases:
+        sextic = parse_sextic(text)
+        assert _exact(sextic.c_w2) and _exact(sextic.c_z3)
+        forms_ = [sextic.c_wz, sextic.c_w, sextic.c_z2, sextic.c_z, sextic.c_0]
+        try:
+            data = reduce_to_short(sextic)
+        except InvalidSurfaceError:
+            rejected += 1
+        else:
+            report = classify_weierstrass(data)
+            assert report.j.value is None or _exact(report.j.value)
+            forms_ += [data.f4, data.f6, data.delta]
+            forms_ += [p.poly for p in report.fibers.places + report.fibers.pieces]
+        for f in forms_:
+            assert all(_exact(c) for c in f.coefficients if c), (text, f)
+            assert all(type(c) is int for c in f.coefficients if not c), (text, f)
+    assert rejected > 0
+    with pytest.raises(TypeError):
+        BinaryForm.from_coefficients(1, [1, 0.5])
