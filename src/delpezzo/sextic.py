@@ -14,8 +14,10 @@ expanded.
 
 Coefficients follow the rule of :mod:`delpezzo.forms`: an ``int`` when the
 value is integral, a ``Fraction`` only when it is not, never a float.  An
-integer literal is an ``int``, ``p/q`` a ``Fraction`` unless ``q`` divides
-``p``, and sums and products of ints stay ints.
+integer literal is an ``int`` and only ``p/q`` makes a ``Fraction``; sums
+and products of ints stay ints.  The :class:`GeneralSextic` normalizes what
+it collects, so an integral value reached through ``p/q`` is an ``int``
+there.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def _tokenize(text: str) -> list[_Token]:
                 denominator = int(text[dstart:i])
                 if not denominator:
                     raise EquationError("zero denominator", dstart)
-                value = _exact(Fraction(value, denominator))
+                value = Fraction(value, denominator)
             tokens.append(_Token("num", value, start))
             continue
         if ch.isalpha():

@@ -265,7 +265,7 @@ def test_generic_verdicts_factor_nothing_and_output_factors_once(monkeypatch):
         calls.clear()
 
 
-def _exact(value):
+def _int_unless_fractional(value):
     """int, or a Fraction that is not integral: never a float, never an
     integral Fraction."""
     return type(value) is int or (type(value) is Fraction and value.denominator != 1)
@@ -280,7 +280,7 @@ def test_coefficients_are_ints_unless_fractional():
     rejected = 0
     for text in cases:
         sextic = parse_sextic(text)
-        assert _exact(sextic.c_w2) and _exact(sextic.c_z3)
+        assert _int_unless_fractional(sextic.c_w2) and _int_unless_fractional(sextic.c_z3)
         forms_ = [sextic.c_wz, sextic.c_w, sextic.c_z2, sextic.c_z, sextic.c_0]
         try:
             data = reduce_to_short(sextic)
@@ -288,12 +288,11 @@ def test_coefficients_are_ints_unless_fractional():
             rejected += 1
         else:
             report = classify_weierstrass(data)
-            assert report.j.value is None or _exact(report.j.value)
+            assert report.j.value is None or _int_unless_fractional(report.j.value)
             forms_ += [data.f4, data.f6, data.delta]
             forms_ += [p.poly for p in report.fibers.places + report.fibers.pieces]
         for f in forms_:
-            assert all(_exact(c) for c in f.coefficients if c), (text, f)
-            assert all(type(c) is int for c in f.coefficients if not c), (text, f)
+            assert all(_int_unless_fractional(c) for c in f.coefficients), (text, f)
     assert rejected > 0
     with pytest.raises(TypeError):
         BinaryForm.from_coefficients(1, [1, 0.5])
