@@ -20,10 +20,8 @@ polynomials through the dehomogenization ``t = x/y``, with the pure
 ``y``-power ("point at infinity") factor handled separately; none of them
 factors.  A modular certificate skips the integer gcds when a polynomial is
 squarefree, or two are coprime, modulo a large prime, which is the generic
-case.  :func:`factor_over_rationals`, which names the irreducible places,
-first reads the factor degrees modulo a few small primes; when they leave no
-room for a proper factor, the polynomial is irreducible and sympy's dense
-Zassenhaus routine is not called.
+case.  sympy's dense Zassenhaus routine is used only by
+:func:`factor_over_rationals`, which names the irreducible places.
 """
 
 from __future__ import annotations
@@ -355,128 +353,6 @@ def _u_coprime_mod_prime(a: list[int], b: list[int]) -> bool:
     return len(a) == 1
 
 
-# Small primes for the factor-degree certificate, and how many usable ones
-# it reads before leaving the polynomial to Zassenhaus.
-_DEGREE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-_DEGREE_PRIMES_USED = 10
-
-
-def _p_monic(a: list[int], p: int) -> list[int]:
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _p_rem(a: list[int], m: list[int], p: int) -> list[int]:
-    """a mod the monic m over GF(p)."""
-    a = list(a)
-    n = len(m) - 1
-    while len(a) > n:
-        la = a.pop()
-        if la:
-            s = len(a) - n
-            a[s:] = [(c - la * d) % p for c, d in zip(a[s:], m)]
-    return _u_trim(a)
-
-
-def _p_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over GF(p) of the nonzero a and any b."""
-    while b:
-        inv = pow(b[-1], -1, p)
-        n = len(b) - 1
-        a = list(a)
-        while len(a) > n:
-            la = a.pop() * inv % p
-            if la:
-                s = len(a) - n
-                a[s:] = [(c - la * d) % p for c, d in zip(a[s:], b)]
-        a, b = b, _u_trim(a)
-    return _p_monic(a, p)
-
-
-def _p_exquo(a: list[int], m: list[int], p: int) -> list[int]:
-    """a / m over GF(p) for a monic m that divides a."""
-    a = list(a)
-    n = len(m) - 1
-    quo = [0] * (len(a) - n)
-    for shift in range(len(quo) - 1, -1, -1):
-        q = a[shift + n]
-        if q:
-            quo[shift] = q
-            a[shift:shift + n] = [
-                (c - q * d) % p for c, d in zip(a[shift:shift + n], m)
-            ]
-    return quo
-
-
-def _u_degrees_mod(u: list[int], p: int) -> list[int] | None:
-    """Degrees of the irreducible factors of u modulo p (distinct-degree
-    factorization), or None when u drops degree or is not squarefree there."""
-    f = [c % p for c in u]
-    if not f[-1]:
-        return None
-    f = _p_monic(f, p)
-    if len(_p_gcd(f, _u_trim([i * c % p for i, c in enumerate(f)][1:]), p)) > 1:
-        return None
-    n = len(f) - 1
-    # frobenius[j] = x^(p*j) mod f, n entries each; h -> h^p is linear
-    frobenius = []
-    power, low, tail = [1] + [0] * (n - 1), f[0], f[1:n]
-    for k in range(p * (n - 1) + 1):
-        if k % p == 0:
-            frobenius.append(power)
-        top = power[-1]  # power * x, reduced by x^n = -(f[0] + ... )
-        if top:
-            power = [-top * low % p] + [
-                (c - top * d) % p for c, d in zip(power, tail)
-            ]
-        else:
-            power = [0] + power[:-1]
-    degrees: list[int] = []
-    rest, h, d = f, [0, 1], 0
-    while 2 * (d + 1) <= len(rest) - 1:
-        d += 1
-        power = [0] * n
-        for j, c in enumerate(h):
-            if c:
-                power = [a + c * q for a, q in zip(power, frobenius[j])]
-        h = _u_trim([c % p for c in power])  # x^(p^d) mod f
-        shifted = h + [0] * (2 - len(h))
-        shifted[1] = (shifted[1] - 1) % p
-        g = _p_gcd(rest, _u_trim(shifted), p)
-        if len(g) > 1:
-            degrees += [d] * ((len(g) - 1) // d)
-            rest = _p_exquo(rest, g, p)
-    if len(rest) > 1:
-        degrees.append(len(rest) - 1)
-    return degrees
-
-
-def _u_irreducible_by_degrees(u: list[int]) -> bool:
-    """True when the factor degrees of u modulo a few small primes leave no
-    room for a proper factor over the integers.  A factor of degree k keeps
-    its degree modulo a prime not dividing the leading coefficient, so k is
-    a sum of some of the factor degrees there; True proves u irreducible
-    over the rationals, False proves nothing."""
-    n = len(u) - 1
-    whole = 1 | (1 << n)
-    possible = (1 << (n + 1)) - 1  # bit k: a factor of degree k may exist
-    used = 0
-    for p in _DEGREE_PRIMES:
-        degrees = _u_degrees_mod(u, p)
-        if degrees is None:
-            continue
-        sums = 1
-        for d in degrees:
-            sums |= sums << d
-        possible &= sums
-        if possible == whole:
-            return True
-        used += 1
-        if used == _DEGREE_PRIMES_USED:
-            break
-    return False
-
-
 def _u_squarefree_parts(u: list[int]) -> list[tuple[list[int], int]]:
     """Yun's algorithm: primitive u = prod(g_i ** i), g_i primitive,
     squarefree and coprime; returns the nonconstant (g_i, i)."""
@@ -559,9 +435,7 @@ def factor_over_rationals(f: BinaryForm) -> Factorization:
     k, u = _dehomogenize(f)
     content = Fraction(f.leading_coefficient, u[-1])
     factors: list[tuple[BinaryForm, int]] = [(Y_FORM, k)] if k else []
-    if len(u) == 2 or len(u) > 2 and _u_irreducible_by_degrees(u):
-        factors.append((_homogenize(0, u), 1))
-    elif len(u) > 1:
+    if len(u) > 1:
         lead_unit, raw = dup_zz_factor([ZZ(c) for c in reversed(u)], ZZ)
         content *= int(lead_unit)
         for coeffs, mult in raw:

@@ -1,13 +1,11 @@
 """Ring arithmetic, gcd, squarefree splitting, factorization, valuations."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delpezzo import forms
 from delpezzo.errors import DegreeMismatchError, ZeroFormError
 from delpezzo.forms import (
     INFINITY,
@@ -192,50 +190,6 @@ def test_factor_normalization_and_irreducibility():
         (2, -3): 2,
         (0, 1): 3,
     }
-
-
-def test_factor_degree_certificate_agrees_with_zassenhaus(monkeypatch):
-    """Products of random factors are never certified irreducible, and
-    certified factorizations equal the ones sympy alone gives."""
-    rng = random.Random(1208)
-
-    def random_factor(degree):
-        coeffs = [rng.randint(-6, 6) for _ in range(degree + 1)]
-        coeffs[0] = rng.choice([1, 2, 3, 5, 6, 7, 10, 30, -4, -15])
-        return BinaryForm.from_coefficients(degree, coeffs)
-
-    cases = []
-    for _ in range(150):
-        product = random_factor(rng.randint(1, 6))
-        while product.degree < 12 and rng.random() < 0.75:
-            product = product * random_factor(rng.randint(1, 4))
-        cases.append(product)
-    for _ in range(150):
-        cases.append(random_factor(rng.randint(2, 12)))
-    fast = [factor_over_rationals(f) for f in cases]
-    monkeypatch.setattr(forms, "_u_irreducible_by_degrees", lambda u: False)
-    for f, got in zip(cases, fast):
-        assert got == factor_over_rationals(f), f
-
-
-def test_factor_degree_certificate_spares_zassenhaus(monkeypatch):
-    calls = []
-    real = forms.dup_zz_factor
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(forms, "dup_zz_factor", counted)
-    rng = random.Random(1209)
-    for _ in range(100):
-        coeffs = [rng.randint(-10**6, 10**6) for _ in range(13)]
-        coeffs[0] = rng.randint(1, 10**6)
-        fact = factor_over_rationals(BinaryForm.from_coefficients(12, coeffs))
-        assert sum(g.degree * m for g, m in fact.factors) == 12
-    # a random degree-12 polynomial is irreducible with Galois group S_12;
-    # a handful may outlast the primes the certificate reads
-    assert len(calls) <= 10
 
 
 # -- valuation ---------------------------------------------------------------------------
