@@ -235,29 +235,17 @@ def witness_catalog() -> tuple[Witness, ...]:
 # -- verification -----------------------------------------------------------------
 
 
-def _fiber_counts(report: ClassificationReport) -> FiberCounts:
-    return tuple((t.tag, t.n, c) for t, c in report.fibers.entries)
-
-
-def _sing_counts(report: ClassificationReport) -> SingCounts:
-    return tuple((l.family, l.index, c) for l, c in report.sing.entries)
-
-
-def verify_witness(witness: Witness) -> list[str]:
-    """Classify the witness equation and diff against its expectations.
-    Returns a list of human-readable mismatches (empty when all good)."""
+def _mismatches(witness: Witness, report: ClassificationReport) -> list[str]:
+    """Human-readable differences between a report and the witness's
+    expectations (empty when all agree)."""
     problems: list[str] = []
-    try:
-        report = classify_surface(witness.equation)
-    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        return [f"classification failed: {exc}"]
 
     def check(field, got, expected):
         if got != expected:
             problems.append(f"{field}: expected {expected}, got {got}")
 
-    check("fibers", set(_fiber_counts(report)), set(witness.fibers))
-    check("sing", set(_sing_counts(report)), set(witness.sing))
+    check("fibers", {(t.tag, t.n, c) for t, c in report.fibers.entries}, set(witness.fibers))
+    check("sing", {(l.family, l.index, c) for l, c in report.sing.entries}, set(witness.sing))
     check("rho", report.rho, witness.rho)
     check("isotrivial", report.isotrivial, witness.isotrivial)
     if witness.j is None:
@@ -270,6 +258,16 @@ def verify_witness(witness: Witness) -> list[str]:
     check("toric_model", report.toric_model, witness.toric_model)
     check("moduli_dim", report.moduli_dim, witness.moduli_dim)
     return problems
+
+
+def verify_witness(witness: Witness) -> list[str]:
+    """Classify the witness equation and diff against its expectations.
+    Returns a list of human-readable mismatches (empty when all good)."""
+    try:
+        report = classify_surface(witness.equation)
+    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+        return [f"classification failed: {exc}"]
+    return _mismatches(witness, report)
 
 
 def verify_catalog() -> dict[str, list[str]]:
@@ -294,8 +292,9 @@ _TABLE_META = {
 def emit_tables() -> tuple[str, dict]:
     """Regenerate the two reference tables by classifying their witnesses.
 
-    Returns (text, data).  Any cell that disagrees with the stored
-    expectations raises TableMismatchError naming the offending cell.
+    Returns (text, data).  A row whose classification disagrees with its
+    witness's expectations raises TableMismatchError naming the table, the
+    row and each differing field.
     """
     data: dict = {}
     blocks: list[str] = []
@@ -305,43 +304,22 @@ def emit_tables() -> tuple[str, dict]:
             if witness.table != table_key:
                 continue
             report = classify_surface(witness.equation)
-            row = {
+            problems = _mismatches(witness, report)
+            if problems:
+                raise TableMismatchError(
+                    f"table {table_key}, row {witness.name}: {'; '.join(problems)}"
+                )
+            rows.append({
                 "fibers": str(report.fibers),
                 "sing": str(report.sing),
                 f_label: witness.table_f,
                 "coreg": report.coreg,
                 "rho": report.rho,
                 "dim_moduli": report.moduli_dim,
-            }
-            expected_report = {
-                "fibers": _fiber_counts(report),
-                "sing": _sing_counts(report),
-                "coreg": report.coreg,
-                "rho": report.rho,
-                "dim_moduli": report.moduli_dim,
-            }
-            expected_stored = {
-                "fibers": witness.fibers,
-                "sing": witness.sing,
-                "coreg": witness.coreg[2],
-                "rho": witness.rho,
-                "dim_moduli": witness.moduli_dim,
-            }
-            for cell in expected_stored:
-                if _set_or_value(expected_report[cell]) != _set_or_value(expected_stored[cell]):
-                    raise TableMismatchError(
-                        f"table {table_key}, row {witness.name}, cell {cell}: "
-                        f"stored {expected_stored[cell]}, "
-                        f"recomputed {expected_report[cell]}"
-                    )
-            rows.append(row)
+            })
         data[table_key] = {"title": title, "f_label": f_label, "rows": rows}
         blocks.append(_format_table(title, f_label, rows))
     return "\n\n".join(blocks), data
-
-
-def _set_or_value(value):
-    return set(value) if isinstance(value, tuple) else value
 
 
 def _format_table(title: str, f_label: str, rows: list[dict]) -> str:

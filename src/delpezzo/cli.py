@@ -14,7 +14,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 parse or usage error, 2 invalid surface
 (missing w^2 or z^3 term, identically-zero discriminant, non-minimal place),
-3 catalog or table verification mismatch.
+3 catalog or table verification mismatch.  Every input of ``classify`` (a
+batch line or the ``--f4/--f6`` pair) runs through one loop: any failure,
+an unexpected exception included (code ``internal``, exit 1), becomes that
+input's error and the batch goes on.
 
 JSON output serializes exact rationals as strings "p/q" and infinite
 valuations as "inf"; it never contains floating-point numbers.
@@ -27,6 +30,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .catalog import emit_tables, verify_witness, witness_catalog, witness_for_configuration
 from .enumeration import (
@@ -37,6 +41,7 @@ from .enumeration import (
 from .errors import (
     DelPezzoError,
     EquationError,
+    InternalInvariantError,
     InvalidSurfaceError,
     TableMismatchError,
 )
@@ -134,6 +139,12 @@ def _classify_line(line: str | bytes) -> ClassificationReport:
     return classify_surface(line)
 
 
+def _classify_pair(f4: str, f6: str) -> ClassificationReport:
+    return classify_weierstrass(
+        weierstrass_data(parse_binary_form(f4, 4), parse_binary_form(f6, 6))
+    )
+
+
 def _render(report: ClassificationReport, as_json: bool) -> str:
     return report.to_json() if as_json else report.to_text()
 
@@ -166,45 +177,33 @@ def _cmd_classify(args, out, err) -> int:
         if args.equations or args.file:
             print("--f4/--f6 cannot be combined with equation input", file=err)
             return EXIT_USAGE
+        # an error of the pair is printed without a label
+        jobs = [(None, partial(_classify_pair, args.f4, args.f6))]
+    else:
         try:
-            f4 = parse_binary_form(args.f4, 4)
-            f6 = parse_binary_form(args.f6, 6)
-        except EquationError as exc:
-            if args.json:
-                print(_error_payload(exc), file=out)
+            inputs = _classify_inputs(args)
+        except OSError as exc:
             print(str(exc), file=err)
             return EXIT_USAGE
-        try:
-            report = classify_weierstrass(weierstrass_data(f4, f6))
-        except InvalidSurfaceError as exc:
-            if args.json:
-                print(_error_payload(exc), file=out)
-            print(str(exc), file=err)
-            return EXIT_INVALID_SURFACE
-        print(_render(report, args.json), file=out)
-        return EXIT_OK
-
-    try:
-        inputs = _classify_inputs(args)
-    except OSError as exc:
-        print(str(exc), file=err)
-        return EXIT_USAGE
-    if not inputs:
-        print("nothing to classify: pass equations, --file, or pipe stdin", file=err)
-        return EXIT_USAGE
+        if not inputs:
+            print("nothing to classify: pass equations, --file, or pipe stdin", file=err)
+            return EXIT_USAGE
+        jobs = [(line, partial(_classify_line, line)) for line in inputs]
 
     exit_code = EXIT_OK
-    for line in inputs:
+    for label, job in jobs:
         try:
             # rendering names the places, which factors; a failure there
             # belongs to this line like any other
-            text = _render(_classify_line(line), args.json)
-        except DelPezzoError as exc:
+            text = _render(job(), args.json)
+        except Exception as exc:  # noqa: BLE001 - one bad line never ends a batch
+            if not isinstance(exc, DelPezzoError):
+                exc = InternalInvariantError(f"unexpected {type(exc).__name__}: {exc}")
             if args.json:
                 print(_error_payload(exc), file=out)
-            if isinstance(line, bytes):
-                line = line.decode("utf-8", "backslashreplace")
-            print(f"{line}: {exc}", file=err)
+            if isinstance(label, bytes):
+                label = label.decode("utf-8", "backslashreplace")
+            print(str(exc) if label is None else f"{label}: {exc}", file=err)
             if isinstance(exc, InvalidSurfaceError):
                 exit_code = max(exit_code, EXIT_INVALID_SURFACE)
             else:

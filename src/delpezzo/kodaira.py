@@ -3,10 +3,11 @@
 The valuation triple (v4, v6, vD) of (f4, f6, delta) at a place of the base
 line determines the fiber type there by the standard characteristic-0
 criteria for y^2 = x^3 + a x + b.  So the verdict needs no irreducible
-factorization: delta is split into squarefree pieces, one per triple, by
-gcds with f4, f6 and their derivatives, and each piece counts its degree in
-fibers of its type.  The irreducible places are factored out of the pieces
-only when ``FiberConfiguration.places`` is first read, which output does.
+factorization: ``WeierstrassData.split`` (computed once, when
+``weierstrass_data`` checks minimality) gives the squarefree pieces of
+delta, one per triple, and each piece counts its degree in fibers of its
+type.  The irreducible places are factored out of the pieces only when
+``FiberConfiguration.places`` is first read, which output does.
 Cross-checks pin the table to the reference data: the Euler number of each
 type equals vD, the pieces add up to degree 12 and Euler number 12, the
 places add up to the same fibers as the pieces, and the per-type j-value
@@ -21,16 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InconsistentValuationError, InternalInvariantError, NonMinimalError
-from .forms import (
-    INFINITY,
-    Y_FORM,
-    BinaryForm,
-    _dehomogenize,
-    _homogenize,
-    _u_split_by_order,
-    _u_squarefree_parts,
-    factor_over_rationals,
-)
+from .forms import INFINITY, BinaryForm, factor_over_rationals
 
 # Unused here; perfbench/tracing.py traces this name in this module.
 from .forms import _valuation_at_irreducible  # noqa: F401
@@ -294,41 +286,11 @@ def configuration(*items: tuple[str, int | None, int]) -> FiberConfiguration:
     return FiberConfiguration.from_counts(counts)
 
 
-def _split_discriminant(wd: WeierstrassData):
-    """(piece, v4, v6, vD) for the squarefree pieces of delta, one per
-    valuation triple; y = 0 is a piece of its own.
-
-    Yun's algorithm splits the affine part of delta by vD; each part is split
-    by the order of vanishing of f4, then of f6.  A simple root of delta
-    needs no split, v4 = v6 = 0 there: if only one of f4, f6 vanished there,
-    delta would not, and if both did, delta would vanish at least twice.  So
-    a discriminant that is squarefree (the generic case) costs one modular
-    check and no gcd.
-    """
-    k, u = _dehomogenize(wd.delta)
-    f4 = None if wd.f4.is_zero else _dehomogenize(wd.f4)
-    f6 = None if wd.f6.is_zero else _dehomogenize(wd.f6)
-    if k:
-        yield Y_FORM, *(INFINITY if f is None else f[0] for f in (f4, f6)), k
-    for part, vD in _u_squarefree_parts(u):
-        if vD == 1:
-            yield _homogenize(0, part), 0, 0, 1
-            continue
-        for piece4, v4 in _split_by_order(part, f4):
-            for piece, v6 in _split_by_order(piece4, f6):
-                yield _homogenize(0, piece), v4, v6, vD
-
-
-def _split_by_order(g: list[int], f: tuple[int, list[int]] | None):
-    """forms._u_split_by_order, with infinite order for a zero form (None)."""
-    return [(g, INFINITY)] if f is None else _u_split_by_order(g, f[1])
-
-
 def classify_fibration(wd: WeierstrassData) -> FiberConfiguration:
-    """Split the discriminant by valuation triple and classify the fiber over
-    every piece; irreducible places are left to ``places``."""
+    """Classify the fiber over every piece of ``wd.split``; irreducible
+    places are left to ``places``."""
     pieces = []
-    for poly, v4, v6, vD in _split_discriminant(wd):
+    for poly, v4, v6, vD in wd.split:
         fiber = classify_place(v4, v6, vD)
         pieces.append(Place(poly=poly, v4=v4, v6=v6, vD=vD, fiber=fiber))
     pieces.sort(key=lambda piece: piece.poly.sort_key())

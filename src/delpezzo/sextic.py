@@ -45,6 +45,13 @@ class _Token:
     pos: int
 
 
+def _int_literal(text: str, start: int, end: int) -> int:
+    try:
+        return int(text[start:end])
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise EquationError(f"number literal too long ({end - start} digits)", start) from None
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i, n = 0, len(text)
@@ -61,13 +68,13 @@ def _tokenize(text: str) -> list[_Token]:
             start = i
             while i < n and text[i].isdecimal():
                 i += 1
-            value = int(text[start:i])
+            value = _int_literal(text, start, i)
             if i < n and text[i] == "/" and i + 1 < n and text[i + 1].isdecimal():
                 i += 1
                 dstart = i
                 while i < n and text[i].isdecimal():
                     i += 1
-                denominator = int(text[dstart:i])
+                denominator = _int_literal(text, dstart, i)
                 if not denominator:
                     raise EquationError("zero denominator", dstart)
                 value = Fraction(value, denominator)

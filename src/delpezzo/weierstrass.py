@@ -11,12 +11,16 @@ the cubic.  All steps are exact and the result is isomorphic to the input
 surface over the rationals; valuations of (f4, f6, delta) at every place --
 hence the whole classification -- do not depend on the choices made here.
 
-Minimality needs no factorization.  A place p is non-minimal when
-v_p(f4) >= 4 and v_p(f6) >= 6.  A nonzero f4 of degree 4 with v_p(f4) >= 4
-forces p linear and f4 = c * p^4; likewise a nonzero f6 is c * p^6.  So the
-pair is non-minimal exactly when every nonzero one of f4, f6 is a constant
-times a full power of one and the same linear form, read off from its first
-two coefficients.
+Every verdict is read from the valuation triples (v4, v6, vD) of
+(f4, f6, delta) at the places of the base line.  ``WeierstrassData.split``
+computes them once and with no factorization, as squarefree pieces of
+delta, one per triple.  Minimality is read from this split too.  A place
+is non-minimal when v4 >= 4 and v6 >= 6, the one triple without a row in
+Kodaira's table.  Then vD >= min(3 v4, 2 v6) >= 12 = deg delta, so such a
+place is linear and delta is a constant times its twelfth power: the split
+has it as its only piece, already primitive with a positive x-major
+leading coefficient.  ``weierstrass_data`` rejects it, and the Kodaira
+classification reads the split it leaves behind.
 
 The discriminant convention is delta = -16 (4 f4^3 + 27 f6^2).  Relative to
 the bare cubic discriminant of z^3 + p z + q this carries a fixed factor 16
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     MissingCubeTermError,
@@ -36,7 +41,17 @@ from .errors import (
     ZeroDiscriminantError,
     ZeroFormError,
 )
-from .forms import Y_FORM, BinaryForm, _exact, squarefree_decomposition
+from .forms import (
+    INFINITY,
+    Y_FORM,
+    BinaryForm,
+    _dehomogenize,
+    _exact,
+    _homogenize,
+    _u_split_by_order,
+    _u_squarefree_parts,
+    squarefree_decomposition,
+)
 
 # Unused here; perfbench/tracing.py traces these names in this module.
 from .forms import _valuation_at_irreducible, factor_over_rationals, form_gcd  # noqa: F401
@@ -62,12 +77,50 @@ class JInvariant:
 
 @dataclass(frozen=True)
 class WeierstrassData:
-    """Validated short-Weierstrass pair with its discriminant and j-invariant."""
+    """Validated short-Weierstrass pair with its discriminant and j-invariant.
+
+    ``split`` is computed on first read; equality and hashing look only at
+    the four fields.
+    """
 
     f4: BinaryForm
     f6: BinaryForm
     delta: BinaryForm
     j: JInvariant
+
+    @cached_property
+    def split(self) -> tuple[tuple[BinaryForm, int | float, int | float, int], ...]:
+        """(piece, v4, v6, vD) for the squarefree pieces of delta, one per
+        valuation triple; y = 0 is a piece of its own.
+
+        Yun's algorithm splits the affine part of delta by vD; each part is
+        split by the order of vanishing of f4, then of f6.  A simple root of
+        delta needs no split, v4 = v6 = 0 there: if only one of f4, f6
+        vanished there, delta would not, and if both did, delta would vanish
+        at least twice.  So a discriminant that is squarefree (the generic
+        case) costs one modular check and no gcd.  Each piece is primitive
+        with positive x-major leading coefficient.
+        """
+        k, u = _dehomogenize(self.delta)
+        f4 = None if self.f4.is_zero else _dehomogenize(self.f4)
+        f6 = None if self.f6.is_zero else _dehomogenize(self.f6)
+        pieces = []
+        if k:
+            v4, v6 = (INFINITY if f is None else f[0] for f in (f4, f6))
+            pieces.append((Y_FORM, v4, v6, k))
+        for part, vD in _u_squarefree_parts(u):
+            if vD == 1:
+                pieces.append((_homogenize(0, part), 0, 0, 1))
+                continue
+            for piece4, v4 in _split_by_order(part, f4):
+                for piece, v6 in _split_by_order(piece4, f6):
+                    pieces.append((_homogenize(0, piece), v4, v6, vD))
+        return tuple(pieces)
+
+
+def _split_by_order(g: list[int], f: tuple[int, list[int]] | None):
+    """forms._u_split_by_order, with infinite order for a zero form (None)."""
+    return [(g, INFINITY)] if f is None else _u_split_by_order(g, f[1])
 
 
 def discriminant(f4: BinaryForm, f6: BinaryForm) -> BinaryForm:
@@ -128,42 +181,19 @@ def cube_test(f6: BinaryForm) -> bool:
     return all(mult % 3 == 0 for _, mult in parts)
 
 
-def _linear_root(f: BinaryForm) -> BinaryForm | None:
-    """The primitive linear l with f = c * l^deg f for the nonzero form f, or
-    None when there is none."""
-    lead, second = f.coefficients[0], f.coefficients[1]
-    if lead == 0:
-        return Y_FORM if not any(f.coefficients[:-1]) else None
-    root = BinaryForm.from_coefficients(1, (1, Fraction(second, f.degree * lead)))
-    return root.primitive_part() if lead * root**f.degree == f else None
-
-
-def _check_minimal(f4: BinaryForm, f6: BinaryForm) -> None:
-    """Reject places with valuation(f4) >= 4 and valuation(f6) >= 6; such a
-    point of the sextic is not a du Val singularity."""
-    places = set()
-    for f in (f4, f6):
-        if f.is_zero:
-            continue
-        place = _linear_root(f)
-        if place is None:
-            return
-        places.add(place)
-    if len(places) == 1:
-        place = places.pop()
-        raise NonMinimalError(
-            f"non-minimal place at {place}: not du Val", place=place
-        )
-
-
 def weierstrass_data(f4: BinaryForm, f6: BinaryForm) -> WeierstrassData:
-    """Validate a short-Weierstrass pair and compute delta and j."""
+    """Validate a short-Weierstrass pair and compute delta, j and the split
+    of delta; reject a place with v4 >= 4 and v6 >= 6, where the sextic has
+    a singularity that is not du Val."""
     if f4.degree != 4 or f6.degree != 6:
         raise ValueError("a short-Weierstrass pair has degrees 4 and 6")
     cube, square = f4**3, f6**2
     delta = _discriminant_from_parts(cube, square)
-    _check_minimal(f4, f6)
-    return WeierstrassData(f4=f4, f6=f6, delta=delta, j=_j_from_parts(cube, square))
+    wd = WeierstrassData(f4=f4, f6=f6, delta=delta, j=_j_from_parts(cube, square))
+    for poly, v4, v6, _ in wd.split:
+        if v4 >= 4 and v6 >= 6:
+            raise NonMinimalError(f"non-minimal place at {poly}: not du Val", place=poly)
+    return wd
 
 
 def reduce_to_short(sextic: GeneralSextic) -> WeierstrassData:

@@ -160,17 +160,45 @@ def test_classify_batch_survives_a_line_that_is_not_utf8(tmp_path, capsys):
 
 
 def test_classify_batch_survives_bad_number_literals(capsys):
-    good = ["w^2+z^3+x^5*y", "w^2 + z^3 + x^4*y^2"]
-    bad = ["w^2 + z^3 + 1/0*x^6", "w^2 + z^3 + \u00b2*x^6 + y^6"]
-    code, out, err = run(capsys, "classify", "--json", bad[0], good[0], bad[1], good[1])
+    good = ["w^2+z^3+x^5*y", "w^2 + z^3 + x^4*y^2", "w^2 + z^3 + x^3*y^3"]
+    # the last literal has more digits than int() accepts
+    bad = ["w^2 + z^3 + 1/0*x^6", "w^2 + z^3 + \u00b2*x^6 + y^6",
+           "w^2 + z^3 + " + "1" * 5000 + "*x^6 + y^6"]
+    code, out, err = run(capsys, "classify", "--json",
+                         *(line for pair in zip(bad, good) for line in pair))
     assert code == 1
     lines = [json.loads(line) for line in out.splitlines()]
-    assert [line["errors"][0]["code"] for line in lines[::2]] == ["syntax", "syntax"]
-    assert [line["errors"] for line in lines[1::2]] == [[], []]
+    assert [line["errors"][0]["code"] for line in lines[::2]] == ["syntax"] * 3
+    assert [line["errors"] for line in lines[1::2]] == [[], [], []]
     assert [line.split(": ")[0] for line in err.splitlines()] == bad
+    assert lines[4]["errors"][0]["message"] == (
+        "number literal too long (5000 digits) (at position 12)")
     code, out, err = run(capsys, "classify", "--f4", "1/0*x^4", "--f6", "x^6")
     assert code == 1 and out == ""
     assert err == "zero denominator (at position 2)\n"
+
+
+def test_classify_turns_an_unexpected_exception_into_its_input_error(tmp_path, capsys):
+    # a place coefficient of about 15,000 digits, which str() refuses to print
+    huge = "(10^1000*10^1000*10^1000*10^1000*10^1000)"
+    line = "w^2 + z^3 + x^5*y"
+    bad = f"w^2 + z^3 + {huge}*x^4*z + x^5*y"
+    batch = tmp_path / "batch.txt"
+    batch.write_text(f"{line}\n{bad}\n{line}\n")
+    code, out, err = run(capsys, "classify", "--json", "--file", str(batch))
+    assert code == 1
+    first, middle, last = out.splitlines()
+    assert first == last and json.loads(first)["errors"] == []
+    [error] = json.loads(middle)["errors"]
+    assert error["code"] == "internal" and error["stage"] == "validate"
+    assert error["message"].startswith("unexpected ValueError: ")
+    assert err == f"{bad}: {error['message']}\n"
+    # the --f4/--f6 pair runs through the same loop, in text mode too
+    code, out, err = run(capsys, "classify", "--json", f"--f4={huge}*x^4", "--f6=x^5*y")
+    assert code == 1 and json.loads(out) == {"errors": [error]}
+    assert err == error["message"] + "\n"
+    code, out, err = run(capsys, "classify", f"--f4={huge}*x^4", "--f6=x^5*y")
+    assert code == 1 and out == "" and err == error["message"] + "\n"
 
 
 def test_classify_into_a_closed_pipe_exits_1_without_traceback(tmp_path):

@@ -1,10 +1,13 @@
-"""Byte-identical CLI output on a fixed batch.
+"""Byte-identical CLI output on fixed inputs.
 
 ``golden/inputs.txt`` holds the 25 catalog equations, moved witnesses and
 moved invalid surfaces reaching all four rejection codes (seeded
 transformed-unique lines), generic-dense lines whose places have degree
 >= 2, and a few syntax errors.  ``classify --json`` and text mode must print
 exactly the stored stdout and stderr bytes and exit with the stored code.
+The same holds for ``catalog --verify``, ``tables``, every ``enumerate``
+mode and three ``--f4/--f6`` pairs (minimal, non-minimal, a syntax error),
+each in text and JSON.
 
 After a deliberate change of the output, rewrite the expected files with
 
@@ -22,27 +25,57 @@ from delpezzo.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 MODES = {"json": ["--json"], "text": []}
+PAIRS = {
+    "minimal": ["--f4=-3*x^3*(x+4*y)", "--f6=2*x^4*(x^2+6*x*y+6*y^2)"],
+    "non-minimal": ["--f4=(2*x-3*y)^4", "--f6=-(2*x-3*y)^6"],
+    "syntax": ["--f4=x^4 +", "--f6=y^6"],
+}
+COMMANDS = {
+    "catalog-verify": ["catalog", "--verify"],
+    "tables": ["tables"],
+    "enumerate-j0": ["enumerate", "--j", "0"],
+    "enumerate-j1728": ["enumerate", "--j", "1728"],
+    "enumerate-generic": ["enumerate", "--j", "generic"],
+    "enumerate-instar": ["enumerate", "--instar"],
+    **{f"pair-{name}": ["classify", *pair] for name, pair in PAIRS.items()},
+}
+# the classify batch keeps its historical file names json.* and text.*
+CASES = {
+    **{mode: ["classify", *flags, "--file", str(GOLDEN / "inputs.txt")]
+       for mode, flags in MODES.items()},
+    **{f"{name}-{mode}": [*argv, *flags]
+       for name, argv in COMMANDS.items() for mode, flags in MODES.items()},
+}
 
 
-def classify_batch(mode: str) -> tuple[str, str, int]:
+def run_case(case: str) -> tuple[str, str, int]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["classify", *MODES[mode], "--file", str(GOLDEN / "inputs.txt")])
+        code = main(CASES[case])
     return out.getvalue(), err.getvalue(), code
+
+
+def check_case(case: str) -> None:
+    out, err, code = run_case(case)
+    assert out.encode() == (GOLDEN / f"{case}.stdout").read_bytes()
+    assert err.encode() == (GOLDEN / f"{case}.stderr").read_bytes()
+    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[case]
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_classify_output_is_byte_identical(mode):
-    out, err, code = classify_batch(mode)
-    assert out.encode() == (GOLDEN / f"{mode}.stdout").read_bytes()
-    assert err.encode() == (GOLDEN / f"{mode}.stderr").read_bytes()
-    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[mode]
+    check_case(mode)
+
+
+@pytest.mark.parametrize("case", sorted(set(CASES) - set(MODES)))
+def test_command_output_is_byte_identical(case):
+    check_case(case)
 
 
 if __name__ == "__main__":
     codes = {}
-    for mode in sorted(MODES):
-        out, err, codes[mode] = classify_batch(mode)
-        (GOLDEN / f"{mode}.stdout").write_bytes(out.encode())
-        (GOLDEN / f"{mode}.stderr").write_bytes(err.encode())
+    for case in sorted(CASES):
+        out, err, codes[case] = run_case(case)
+        (GOLDEN / f"{case}.stdout").write_bytes(out.encode())
+        (GOLDEN / f"{case}.stderr").write_bytes(err.encode())
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, sort_keys=True) + "\n")

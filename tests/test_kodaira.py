@@ -1,10 +1,12 @@
 """Per-place classification, fiber configurations and the reference data."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from delpezzo import forms
 from delpezzo.errors import (
     InconsistentValuationError,
     InternalInvariantError,
@@ -240,6 +242,24 @@ def test_places_are_read_lazily_without_changing_equality():
     assert read.places  # fills the cache of one of the two
     assert read == unread and hash(read) == hash(unread)
     assert read != classify_fibration(weierstrass_data(form("y^4", 4), form("x*y^5", 6)))
+
+
+def test_the_split_runs_once_in_weierstrass_data(monkeypatch):
+    # every Yun and order split starts with the modular coprimality check
+    calls = Counter()
+    for name in ("_u_coprime_mod_prime", "_u_gcd"):
+        def counted(*args, _name=name, _original=getattr(forms, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(forms, name, counted)
+    # delta = 1728 x^8 y^3 (2x + 9y): Yun and the order splits need gcds
+    wd = weierstrass_data(form("-3*x^3*(x+4*y)", 4), form("2*x^4*(x^2+6*x*y+6*y^2)", 6))
+    assert calls["_u_coprime_mod_prime"] and calls["_u_gcd"]
+    calls.clear()
+    config = classify_fibration(wd)
+    assert not calls
+    assert str(config) == "IV* + I3 + I1"
+    assert classify_fibration(wd) == config and not calls
 
 
 def test_places_must_add_up_to_the_entries():

@@ -70,6 +70,13 @@ def test_syntax_error_with_position():
     with pytest.raises(EquationError, match="unexpected character") as info:
         parse_sextic("w^2 + z^3 + \u00b2*x^6 + y^6")
     assert info.value.position == 12
+    # int() refuses a literal of more than 4300 digits
+    with pytest.raises(EquationError, match="number literal too long") as info:
+        parse_sextic("w^2 + z^3 + " + "1" * 5000 + "*x^6 + y^6")
+    assert info.value.position == 12 and info.value.code == "syntax"
+    with pytest.raises(EquationError, match="number literal too long") as info:
+        parse_sextic("w^2 + z^3 + 1/" + "7" * 5000 + "*x^6 + y^6")
+    assert info.value.position == 14
 
 
 def test_fraction_literals_and_unary_minus():
