@@ -52,39 +52,26 @@ def legendre_j(a: Fraction) -> Fraction:
     return 256 * (a * a - a + 1) ** 3 / (a * a * (a - 1) ** 2)
 
 
-def _j0_row(name, f6, fibers, sing, coreg, rho, dim):
+# equation template and constant j of the two reference tables
+_TABLES = {"j0": ("w^2 + z^3 + {}", 0), "j1728": ("w^2 + z^3 + ({})*z", 1728)}
+
+
+def _table_row(table, name, f, fibers, sing, coreg, rho, dim):
+    template, j = _TABLES[table]
     return Witness(
-        name=f"j0/{name}",
-        equation=f"w^2 + z^3 + {f6}",
+        name=f"{table}/{name}",
+        equation=template.format(f),
         fibers=fibers,
         sing=sing,
         rho=rho,
         isotrivial=True,
-        j=Fraction(0),
+        j=Fraction(j),
         coreg=coreg,
         toric_model=False,
         moduli_dim=dim,
-        family="isotrivial, j = 0",
-        table="j0",
-        table_f=f6,
-    )
-
-
-def _j1728_row(name, f4, fibers, sing, coreg, rho, dim):
-    return Witness(
-        name=f"j1728/{name}",
-        equation=f"w^2 + z^3 + ({f4})*z",
-        fibers=fibers,
-        sing=sing,
-        rho=rho,
-        isotrivial=True,
-        j=Fraction(1728),
-        coreg=coreg,
-        toric_model=False,
-        moduli_dim=dim,
-        family="isotrivial, j = 1728",
-        table="j1728",
-        table_f=f4,
+        family=f"isotrivial, j = {j}",
+        table=table,
+        table_f=f,
     )
 
 
@@ -110,48 +97,48 @@ def _three_root_witness(a: Fraction) -> Witness:
 def witness_catalog() -> tuple[Witness, ...]:
     """All built-in witnesses, reference-table rows first."""
     j0 = [
-        _j0_row("E8", "x^5*y",
-                (("II*", None, 1), ("II", None, 1)),
-                (("E", 8, 1),), (1, 1, 1), 1, 0),
-        _j0_row("E6+A2", "x^4*y^2",
-                (("IV*", None, 1), ("IV", None, 1)),
-                (("E", 6, 1), ("A", 2, 1)), (1, 1, 1), 1, 0),
-        _j0_row("E6", "x^4*y*(x-y)",
-                (("IV*", None, 1), ("II", None, 2)),
-                (("E", 6, 1),), (1, 1, 1), 3, 0),
-        _j0_row("2D4", "x^3*y^3",
-                (("I0*", None, 2),),
-                (("D", 4, 2),), (1, 0, 0), 1, 0),
-        _j0_row("D4+A2", "x^3*y^2*(x-y)",
-                (("I0*", None, 1), ("IV", None, 1), ("II", None, 1)),
-                (("D", 4, 1), ("A", 2, 1)), (1, 1, 1), 3, 0),
-        _j0_row("D4", "x^3*y*(x-y)*(x-2*y)",
-                (("I0*", None, 1), ("II", None, 3)),
-                (("D", 4, 1),), (1, 1, 1), 5, 1),
-        _j0_row("3A2", "x^2*y^2*(x-y)^2",
-                (("IV", None, 3),),
-                (("A", 2, 3),), (1, 1, 1), 3, 0),
-        _j0_row("2A2", "x^2*y^2*(x-y)*(x-2*y)",
-                (("IV", None, 2), ("II", None, 2)),
-                (("A", 2, 2),), (1, 1, 1), 5, 1),
-        _j0_row("A2", "x^2*y*(x-y)*(x-2*y)*(x-3*y)",
-                (("IV", None, 1), ("II", None, 4)),
-                (("A", 2, 1),), (1, 1, 1), 7, 2),
-        _j0_row("smooth", "x*y*(x-y)*(x-2*y)*(x-3*y)*(x-5*y)",
-                (("II", None, 6),),
-                (), (1, 1, 1), 9, 3),
-    ]
-    j1728 = [
-        _j1728_row("E7+A1", "x^3*y",
-                   (("III*", None, 1), ("III", None, 1)),
-                   (("E", 7, 1), ("A", 1, 1)), (1, 1, 1), 1, 0),
-        _j1728_row("2D4", "x^2*y^2",
+        _table_row("j0", "E8", "x^5*y",
+                   (("II*", None, 1), ("II", None, 1)),
+                   (("E", 8, 1),), (1, 1, 1), 1, 0),
+        _table_row("j0", "E6+A2", "x^4*y^2",
+                   (("IV*", None, 1), ("IV", None, 1)),
+                   (("E", 6, 1), ("A", 2, 1)), (1, 1, 1), 1, 0),
+        _table_row("j0", "E6", "x^4*y*(x-y)",
+                   (("IV*", None, 1), ("II", None, 2)),
+                   (("E", 6, 1),), (1, 1, 1), 3, 0),
+        _table_row("j0", "2D4", "x^3*y^3",
                    (("I0*", None, 2),),
                    (("D", 4, 2),), (1, 0, 0), 1, 0),
-        _j1728_row("D4+2A1", "x^2*y*(x-y)",
+        _table_row("j0", "D4+A2", "x^3*y^2*(x-y)",
+                   (("I0*", None, 1), ("IV", None, 1), ("II", None, 1)),
+                   (("D", 4, 1), ("A", 2, 1)), (1, 1, 1), 3, 0),
+        _table_row("j0", "D4", "x^3*y*(x-y)*(x-2*y)",
+                   (("I0*", None, 1), ("II", None, 3)),
+                   (("D", 4, 1),), (1, 1, 1), 5, 1),
+        _table_row("j0", "3A2", "x^2*y^2*(x-y)^2",
+                   (("IV", None, 3),),
+                   (("A", 2, 3),), (1, 1, 1), 3, 0),
+        _table_row("j0", "2A2", "x^2*y^2*(x-y)*(x-2*y)",
+                   (("IV", None, 2), ("II", None, 2)),
+                   (("A", 2, 2),), (1, 1, 1), 5, 1),
+        _table_row("j0", "A2", "x^2*y*(x-y)*(x-2*y)*(x-3*y)",
+                   (("IV", None, 1), ("II", None, 4)),
+                   (("A", 2, 1),), (1, 1, 1), 7, 2),
+        _table_row("j0", "smooth", "x*y*(x-y)*(x-2*y)*(x-3*y)*(x-5*y)",
+                   (("II", None, 6),),
+                   (), (1, 1, 1), 9, 3),
+    ]
+    j1728 = [
+        _table_row("j1728", "E7+A1", "x^3*y",
+                   (("III*", None, 1), ("III", None, 1)),
+                   (("E", 7, 1), ("A", 1, 1)), (1, 1, 1), 1, 0),
+        _table_row("j1728", "2D4", "x^2*y^2",
+                   (("I0*", None, 2),),
+                   (("D", 4, 2),), (1, 0, 0), 1, 0),
+        _table_row("j1728", "D4+2A1", "x^2*y*(x-y)",
                    (("I0*", None, 1), ("III", None, 2)),
                    (("D", 4, 1), ("A", 1, 2)), (1, 0, 0), 3, 0),
-        _j1728_row("4A1", "x*y*(x-y)*(x-2*y)",
+        _table_row("j1728", "4A1", "x*y*(x-y)*(x-2*y)",
                    (("III", None, 4),),
                    (("A", 1, 4),), (1, 1, 1), 5, 1),
     ]

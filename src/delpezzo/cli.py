@@ -128,7 +128,8 @@ def _classify_inputs(args) -> list[str | bytes]:
     if args.file:
         with open(args.file, "rb") as handle:
             inputs.extend(_input_lines(handle))
-    if not inputs and not sys.stdin.isatty():
+    # a closed stdin (``<&-``) leaves sys.stdin None
+    if not inputs and sys.stdin is not None and not sys.stdin.isatty():
         inputs.extend(_input_lines(sys.stdin))
     return inputs
 
@@ -338,10 +339,24 @@ def _cmd_tables(args, out, err) -> int:
     return EXIT_OK
 
 
+def _join_form_values(argv: list[str]) -> list[str]:
+    """``--f4 V`` as ``--f4=V`` when V starts with one '-', which argparse
+    would otherwise take for an option (``--f4 "-3*x^3*(x+4*y)"``)."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--f4", "--f6") and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _join_form_values(sys.argv[1:] if argv is None else argv)
+        )
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     command = {"classify": _cmd_classify, "enumerate": _cmd_enumerate,

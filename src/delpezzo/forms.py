@@ -83,10 +83,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
 
-    def coefficient(self, x_power: int) -> int | Fraction:
-        """Coefficient of x**x_power * y**(degree - x_power)."""
-        return self.coefficients[self.degree - x_power]
-
     @property
     def leading_coefficient(self) -> int | Fraction:
         """First nonzero coefficient in x-major order (0 for the zero form)."""

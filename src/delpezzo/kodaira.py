@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import InconsistentValuationError, InternalInvariantError, NonMinimalError
 from .forms import INFINITY, BinaryForm, factor_over_rationals
@@ -28,7 +28,6 @@ from .forms import INFINITY, BinaryForm, factor_over_rationals
 from .forms import _valuation_at_irreducible  # noqa: F401
 from .weierstrass import WeierstrassData
 
-ADDITIVE_TAGS = ("II", "III", "IV", "I0*", "IV*", "III*", "II*")
 ALL_TAGS = ("I0", "In", "II", "III", "IV", "I0*", "In*", "IV*", "III*", "II*")
 
 
@@ -102,6 +101,7 @@ class FiberTypeProperties:
     rank: int
 
 
+@cache
 def fiber_properties(t: KodairaType) -> FiberTypeProperties:
     """Reference data per fiber type: du Val label, Euler number, 1 - lct,
     j-value class and du Val lattice rank."""

@@ -104,10 +104,6 @@ class ClassificationReport:
         if self.fibers is not None:
             for place in self.fibers.places:
                 fibers.append(_place_dict(place))
-            if not self.fibers.places:  # purely combinatorial configuration
-                for t, c in self.fibers.entries:
-                    fibers.append({"type": t.tag, **({"n": t.n} if t.n else {}),
-                                   "count": c})
         sing = []
         if self.sing is not None:
             for label, count in self.sing.entries:

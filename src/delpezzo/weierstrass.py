@@ -5,11 +5,11 @@ The internal model of a degree-1 del Pezzo surface is
     w^2 = z^3 + f4(x, y) z + f6(x, y),
 
 with f4, f6 binary forms of degrees 4 and 6.  A general sextic with nonzero
-w^2 and z^3 coefficients is brought to this shape by completing the square in
-w, a z/w rescaling making both the square and the cube monic, and depressing
-the cubic.  All steps are exact and the result is isomorphic to the input
-surface over the rationals; valuations of (f4, f6, delta) at every place --
-hence the whole classification -- do not depend on the choices made here.
+w^2 and z^3 coefficients is brought to this shape in one step, through the
+classical invariants c4, c6 of its Weierstrass equation: f4 = -c4/48 and
+f6 = -c6/864.  The result is isomorphic to the input surface over the
+rationals; valuations of (f4, f6, delta) at every place -- hence the whole
+classification -- do not depend on the choices made here.
 
 Every verdict is read from the valuation triples (v4, v6, vD) of
 (f4, f6, delta) at the places of the base line.  ``WeierstrassData.split``
@@ -156,20 +156,15 @@ def _j_from_parts(cube: BinaryForm, square: BinaryForm) -> JInvariant:
         return JInvariant(True, 0)
     if square.is_zero:
         return JInvariant(True, 1728)
-    ratio = None
-    for a, b in zip(cube.coefficients, square.coefficients):
-        if b == 0:
-            if a != 0:
-                return JInvariant(False)
-            continue
-        r = Fraction(a, b)
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return JInvariant(False)
-    # f4^3 = ratio * f6^2, so j = 1728 * 4 ratio / (4 ratio + 27); the
-    # denominator cannot vanish, that would make delta identically zero.
-    return JInvariant(True, _exact(6912 * ratio / (4 * ratio + 27)))
+    # f4^3 = (a / s) f6^2 for the first nonzero coefficient s of f6^2 and
+    # the coefficient a of f4^3 beside it, if every pair (c, t) has c s = a t.
+    pairs = list(zip(cube.coefficients, square.coefficients))
+    a, s = next((c, t) for c, t in pairs if t)
+    if any(c * s != a * t for c, t in pairs):
+        return JInvariant(False)
+    # j = 1728 * 4 (a/s) / (4 (a/s) + 27); the denominator cannot vanish,
+    # that would make delta identically zero.
+    return JInvariant(True, _exact(Fraction(6912 * a, 4 * a + 27 * s)))
 
 
 def cube_test(f6: BinaryForm) -> bool:
@@ -206,20 +201,18 @@ def reduce_to_short(sextic: GeneralSextic) -> WeierstrassData:
         raise MissingCubeTermError(
             "not in del Pezzo normal form: no z^3 term"
         )
-    a = sextic.c_w2
-    # Complete the square: w -> w - (c_wz z + c_w) / (2 c_w2) removes the
-    # w z and w terms and shifts the cubic part by -(c_wz z + c_w)^2 / (4 c_w2).
-    quarter = Fraction(1, 4) / a
-    cz2 = sextic.c_z2 - quarter * (sextic.c_wz * sextic.c_wz)
-    cz = sextic.c_z - (2 * quarter) * (sextic.c_wz * sextic.c_w)
-    c0 = sextic.c_0 - quarter * (sextic.c_w * sextic.c_w)
-    # Now a w^2 = b z^3 + C z^2 + D z + E; the rescaling z -> (a b) z,
-    # w -> (a b^2) w makes both sides monic.
-    b = -sextic.c_z3
-    c2 = -cz2 * Fraction(1, a * b**2)
-    c4 = -cz * Fraction(1, a**2 * b**3)
-    c6 = -c0 * Fraction(1, a**3 * b**4)
-    # Depress the cubic: z -> z - c2 / 3.
-    f4 = c4 - Fraction(1, 3) * (c2 * c2)
-    f6 = c6 - Fraction(1, 3) * (c2 * c4) + Fraction(2, 27) * (c2 * c2 * c2)
+    a, b = sextic.c_w2, -sextic.c_z3
+    ab = a * b
+    # Times 4a the sextic reads
+    #   (2a w + c_wz z + c_w)^2 = 4ab z^3 - p z^2 - 2q z - r.
+    # Rescaling z -> ab z, w -> ab^2 w gives Tate's b2 = -p/(ab)^2,
+    # b4 = -q/(ab)^3, b6 = -r/(ab)^4, and depressing the cubic gives
+    # f4 = -c4/48, f6 = -c6/864 with c4 = b2^2 - 24 b4 and
+    # c6 = -b2^3 + 36 b2 b4 - 216 b6 (Silverman, AEC III.1).  Clearing the
+    # powers of ab leaves one division per form.
+    p = 4 * a * sextic.c_z2 - sextic.c_wz * sextic.c_wz
+    q = 2 * a * sextic.c_z - sextic.c_wz * sextic.c_w
+    r = 4 * a * sextic.c_0 - sextic.c_w * sextic.c_w
+    f4 = (p * p + 24 * ab * q) * Fraction(-1, 48 * ab**4)
+    f6 = (p * p * p + 36 * ab * p * q + 216 * ab**2 * r) * Fraction(-1, 864 * ab**6)
     return weierstrass_data(f4, f6)

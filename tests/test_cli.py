@@ -96,6 +96,15 @@ def test_classify_pair_entry_path_matches_equation(capsys):
     assert direct == via_eq
 
 
+def test_classify_pair_value_may_start_with_minus(capsys):
+    # argparse alone reads "-3*x^3*..." after --f4 as an option, not a value
+    f4, f6 = "-3*x^3*(x+4*y)", "2*x^4*(x^2+6*x*y+6*y^2)"  # the golden pair
+    for mode in ([], ["--json"]):
+        joined = run(capsys, "classify", *mode, f"--f4={f4}", f"--f6={f6}")
+        split = run(capsys, "classify", *mode, "--f4", f4, "--f6", f6)
+        assert split == joined and joined[0] == 0
+
+
 def test_classify_pair_requires_both(capsys):
     code, out, err = run(capsys, "classify", "--f4", "x^4")
     assert code == 1
@@ -259,6 +268,15 @@ def test_classify_no_input(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", stream)
     code, out, err = run(capsys, "classify")
     assert code == 1
+    assert "nothing to classify" in err
+
+
+def test_classify_closed_stdin(monkeypatch, capsys):
+    # ``delpezzo classify <&-`` starts Python with sys.stdin set to None
+    monkeypatch.setattr("sys.stdin", None)
+    code, out, err = run(capsys, "classify")
+    assert code == 1
+    assert out == ""
     assert "nothing to classify" in err
 
 

@@ -8,17 +8,27 @@ from fractions import Fraction
 import pytest
 
 import bruteforce
+from test_kodaira import structured_pair
 
+from delpezzo import weierstrass
 from delpezzo.errors import (
     MissingCubeTermError,
     MissingSquareTermError,
     NonMinimalError,
     ZeroDiscriminantError,
 )
+from delpezzo.catalog import witness_catalog
 from delpezzo.forms import BinaryForm
 from delpezzo.kodaira import classify_fibration
-from delpezzo.sextic import Poly, parse_binary_form, parse_sextic, sextic_from_polynomial
+from delpezzo.sextic import (
+    GeneralSextic,
+    Poly,
+    parse_binary_form,
+    parse_sextic,
+    sextic_from_polynomial,
+)
 from delpezzo.weierstrass import (
+    JInvariant,
     cube_test,
     discriminant,
     j_invariant,
@@ -302,3 +312,111 @@ def test_reduction_invariance_under_coordinate_changes():
         assert other.entries == base.entries
         assert wd2.j == wd.j
         checked += 1
+
+
+# -- references: the three-stage reduction and the per-coefficient j ratio --------------
+
+
+def _three_stage_reduction(sextic: GeneralSextic):
+    """(f4, f6) by completing the square, rescaling and depressing the cubic."""
+    a = sextic.c_w2
+    # w -> w - (c_wz z + c_w) / (2 c_w2) removes the w z and w terms
+    quarter = Fraction(1, 4) / a
+    cz2 = sextic.c_z2 - quarter * (sextic.c_wz * sextic.c_wz)
+    cz = sextic.c_z - (2 * quarter) * (sextic.c_wz * sextic.c_w)
+    c0 = sextic.c_0 - quarter * (sextic.c_w * sextic.c_w)
+    # a w^2 = b z^3 - cz2 z^2 - cz z - c0; z -> (a b) z, w -> (a b^2) w
+    b = -sextic.c_z3
+    c2 = -cz2 * Fraction(1, a * b**2)
+    c4 = -cz * Fraction(1, a**2 * b**3)
+    c6 = -c0 * Fraction(1, a**3 * b**4)
+    # z -> z - c2 / 3
+    f4 = c4 - Fraction(1, 3) * (c2 * c2)
+    f6 = c6 - Fraction(1, 3) * (c2 * c4) + Fraction(2, 27) * (c2 * c2 * c2)
+    return f4, f6
+
+
+def _ratio_j(f4: BinaryForm, f6: BinaryForm) -> JInvariant:
+    """j with one Fraction per coefficient of f4^3 / f6^2."""
+    cube, square = f4**3, f6**2
+    if cube.is_zero:
+        return JInvariant(True, 0)
+    if square.is_zero:
+        return JInvariant(True, 1728)
+    ratio = None
+    for a, b in zip(cube.coefficients, square.coefficients):
+        if b == 0:
+            if a != 0:
+                return JInvariant(False)
+            continue
+        if ratio is None:
+            ratio = Fraction(a, b)
+        elif Fraction(a, b) != ratio:
+            return JInvariant(False)
+    value = 6912 * ratio / (4 * ratio + 27)
+    return JInvariant(True, value.numerator if value.denominator == 1 else value)
+
+
+def _typed(form: BinaryForm):
+    return form.coefficients, tuple(type(c) for c in form.coefficients)
+
+
+_SLOT_VALUES = (0, 0, 1, -1, 2, -3, 7, -12)
+_SLOT_FRACTIONS = (Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4))
+_SCALARS = (1, -1, 2, -3, 6, Fraction(1, 2), Fraction(-2, 3), Fraction(9, 4))
+
+
+def _random_sextic(rng) -> GeneralSextic:
+    values = _SLOT_VALUES + (_SLOT_FRACTIONS if rng.random() < 0.4 else ())
+
+    def slot(degree, zero_chance=0.1):
+        if rng.random() < zero_chance:
+            return BinaryForm.zero(degree)
+        return BinaryForm.from_coefficients(
+            degree, [rng.choice(values) for _ in range(degree + 1)]
+        )
+
+    return GeneralSextic(
+        c_w2=rng.choice(_SCALARS), c_wz=slot(1, 0.4), c_w=slot(3, 0.4),
+        c_z3=rng.choice(_SCALARS), c_z2=slot(2), c_z=slot(4), c_0=slot(6),
+    )
+
+
+def test_reduction_matches_three_stage_reference(monkeypatch):
+    monkeypatch.setattr(weierstrass, "weierstrass_data", lambda f4, f6: (f4, f6))
+    rng = random.Random(20261018)
+    seen = Counter()
+    for _ in range(10_000):
+        sextic = _random_sextic(rng)
+        f4, f6 = reduce_to_short(sextic)
+        ref4, ref6 = _three_stage_reduction(sextic)
+        assert (_typed(f4), _typed(f6)) == (_typed(ref4), _typed(ref6)), sextic
+        scalars = (sextic.c_w2, sextic.c_z3)
+        seen["fractional a or b"] += any(isinstance(c, Fraction) for c in scalars)
+        seen["negative a or b"] += any(c < 0 for c in scalars)
+        seen["zero c_wz"] += sextic.c_wz.is_zero
+        seen["zero c_w"] += sextic.c_w.is_zero
+        slots = (sextic.c_wz, sextic.c_w, sextic.c_z2, sextic.c_z, sextic.c_0)
+        integral = all(
+            isinstance(c, int) for c in scalars + sum((f.coefficients for f in slots), ())
+        )
+        seen["integral sextic"] += integral
+        seen["fractional sextic"] += not integral
+    assert min(seen.values()) >= 1000 and len(seen) == 6, seen
+
+
+def test_j_matches_ratio_reference():
+    three_root = [w for w in witness_catalog() if w.name.startswith("three-root/")]
+    assert len(three_root) == 6
+    wds = [reduce_to_short(parse_sextic(w.equation)) for w in three_root]
+    pairs = [(wd.f4, wd.f6) for wd in wds]
+    rng = random.Random(20261018)
+    pairs += [structured_pair(rng) for _ in range(1000)]
+    kinds = Counter()
+    for f4, f6 in pairs:
+        if (4 * f4**3 + 27 * f6**2).is_zero:  # no j
+            continue
+        expected, got = _ratio_j(f4, f6), j_invariant(f4, f6)
+        assert got == expected and type(got.value) is type(expected.value)
+        kinds[expected.value if expected.value in (0, 1728, None) else "other"] += 1
+    assert all(kinds[k] >= 5 for k in (0, 1728, None, "other")), kinds
