@@ -20,8 +20,18 @@ polynomials through the dehomogenization ``t = x/y``, with the pure
 ``y``-power ("point at infinity") factor handled separately; none of them
 factors.  A modular certificate skips the integer gcds when a polynomial is
 squarefree, or two are coprime, modulo a large prime, which is the generic
-case.  sympy's dense Zassenhaus routine is used only by
-:func:`factor_over_rationals`, which names the irreducible places.
+case.
+
+:func:`factor_over_rationals`, which names the irreducible places, settles
+each squarefree part exactly and mostly without Zassenhaus: Newton lifting
+modulo a small prime finds every rational linear factor; a cofactor of
+degree 2 or 3 is then irreducible, and one of higher degree usually is too
+by its factor degrees modulo a few small primes.  Only what these steps
+leave open goes to sympy's dense Zassenhaus routine (:func:`dup_zz_factor`),
+and sympy is imported on that first call.
+
+Coefficients print in full through :func:`rational_str`, also past the
+4300-digit limit of ``str(int)``.
 """
 
 from __future__ import annotations
@@ -29,9 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from sympy.polys.domains import ZZ
-from sympy.polys.factortools import dup_zz_factor
 
 from .errors import DegreeMismatchError, ZeroFormError
 
@@ -45,6 +52,25 @@ def _exact(value) -> int | Fraction:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+_CHUNK_DIGITS = 1000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def rational_str(value: int | Fraction) -> str:
+    """str(value), also past the 4300-digit limit of Python's int-to-str
+    conversion: a long number is written 1000 digits at a time."""
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return f"{rational_str(value.numerator)}/{rational_str(value.denominator)}"
+    value = int(value)
+    if -_CHUNK < value < _CHUNK:
+        return str(value)
+    sign, value, chunks = "-" if value < 0 else "", abs(value), []
+    while value >= _CHUNK:
+        value, low = divmod(value, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    return sign + str(value) + "".join(reversed(chunks))
 
 
 @dataclass(frozen=True)
@@ -182,11 +208,11 @@ class BinaryForm:
                 vars_.append("y" if yp == 1 else f"y^{yp}")
             mag = abs(c)
             if not vars_:
-                body = str(mag)
+                body = rational_str(mag)
             elif mag == 1:
                 body = "*".join(vars_)
             else:
-                body = "*".join([str(mag)] + vars_)
+                body = "*".join([rational_str(mag)] + vars_)
             if not pieces:
                 pieces.append(body if c > 0 else f"-{body}")
             else:
@@ -217,8 +243,8 @@ class Factorization:
 
     def __str__(self) -> str:
         if not self.factors:
-            return str(self.content)
-        parts = [] if self.content == 1 else [str(self.content)]
+            return rational_str(self.content)
+        parts = [] if self.content == 1 else [rational_str(self.content)]
         for factor, mult in self.factors:
             parts.append(f"({factor})" + (f"^{mult}" if mult > 1 else ""))
         return " * ".join(parts) if parts else "1"
@@ -326,23 +352,23 @@ def _u_exquo(a: list[int], b: list[int]) -> list[int] | None:
     return None if any(rem[:n - 1]) else quo
 
 
-def _u_coprime_mod_prime(a: list[int], b: list[int]) -> bool:
-    """True when a keeps its degree modulo a large prime and is coprime to b
-    there.  A common factor over the rationals would stay a common factor of
-    positive degree modulo the prime, so True proves a and b coprime; False
-    proves nothing."""
-    a = [c % _PRIME for c in a]
+def _u_coprime_mod_prime(a: list[int], b: list[int], p: int = _PRIME) -> bool:
+    """True when a keeps its degree modulo the prime p (a large one by
+    default) and is coprime to b there.  A common factor over the rationals
+    would stay a common factor of positive degree modulo p, so True proves a
+    and b coprime; False proves nothing."""
+    a = [c % p for c in a]
     if not a[-1]:
         return False
-    b = _u_trim([c % _PRIME for c in b])
+    b = _u_trim([c % p for c in b])
     while b:  # fraction-free Euclid: scale instead of inverting leads
         lb, low = b[-1], b[:-1]
         n = len(low)
         while len(a) > n:
             la = a.pop()
             s = len(a) - n
-            a = [c * lb % _PRIME for c in a[:s]] + [
-                (c * lb - la * d) % _PRIME for c, d in zip(a[s:], low)
+            a = [c * lb % p for c in a[:s]] + [
+                (c * lb - la * d) % p for c, d in zip(a[s:], low)
             ]
             _u_trim(a)
         a, b = b, a
@@ -388,6 +414,173 @@ def _u_split_by_order(g: list[int], f: list[int]) -> list[tuple[list[int], int]]
     return pieces
 
 
+# -- irreducible factors of a squarefree piece ------------------------------------
+#
+# Rational roots come from one small prime p that does not divide the leading
+# coefficient and keeps u squarefree: a root a/b (b | lead, a | the lowest
+# nonzero coefficient) reduces to a simple root modulo p, whose Newton lift
+# pins lead * a/b once the modulus exceeds twice its largest possible size.
+# What is left has no factor of degree 1 or n - 1, so degrees 2 and 3 are
+# irreducible, and higher degrees are usually proved irreducible by their
+# factor degrees modulo a few small primes.  Zassenhaus gets the rest.
+
+# A prime keeps n distinct roots apart with odds about exp(-n^2 / 2p), so
+# products of many linear forms need primes well above n^2 / 2.
+_SMALL_PRIMES = tuple(p for p in range(2, 256) if all(p % q for q in range(2, p)))
+_CERTIFICATE_PRIMES = 20  # usable primes read before leaving u to Zassenhaus
+
+
+def dup_zz_factor(u: list[int]) -> list[list[int]]:
+    """The primitive irreducible factors of the squarefree primitive u by
+    sympy's dense Zassenhaus routine.  sympy is imported on the first call;
+    nothing else in the package needs it."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_zz_factor as zassenhaus
+
+    _, factors = zassenhaus([ZZ(c) for c in reversed(u)], ZZ)
+    return [_u_primitive([int(c) for c in reversed(g)]) for g, _ in factors]
+
+
+def _u_eval(u: list[int], x: int, m: int) -> int:
+    value = 0
+    for c in reversed(u):
+        value = (value * x + c) % m
+    return value
+
+
+def _u_linear_factors(u: list[int], p: int) -> tuple[list[list[int]], list[int]]:
+    """(the primitive linear factors of u, their cofactor) for squarefree u
+    and a prime p that keeps u squarefree and of the same degree."""
+    lead = u[-1]
+    bound = 2 * lead * abs(next(c for c in u if c))
+    du = _u_derivative(u)
+    linear, rest = [], u
+    for residue in range(p):
+        if _u_eval(u, residue, p):
+            continue
+        # quadratic Newton lift of the simple root, with inv = 1/u'(root)
+        # lifted alongside, as a modular inverse of a large modulus is slow
+        m, root, inv = p, residue, pow(_u_eval(du, residue, p), -1, p)
+        while m <= bound:
+            m *= m
+            root = (root - _u_eval(u, root, m) * inv) % m
+            inv = inv * (2 - _u_eval(du, root, m) * inv) % m
+        numerator = lead * root % m
+        if 2 * numerator > m:
+            numerator -= m
+        factor = _u_primitive([-numerator, lead])
+        quotient = _u_exquo(rest, factor)
+        if quotient is not None:
+            linear.append(factor)
+            rest = quotient
+    return linear, rest
+
+
+def _p_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p) of the nonzero a and any b."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        n = len(b) - 1
+        a = list(a)
+        while len(a) > n:
+            la = a.pop() * inv % p
+            if la:
+                s = len(a) - n
+                a[s:] = [(c - la * d) % p for c, d in zip(a[s:], b)]
+        a, b = b, _u_trim(a)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _p_exquo(a: list[int], m: list[int], p: int) -> list[int]:
+    """a / m over GF(p) for a monic m that divides a."""
+    a = list(a)
+    n = len(m) - 1
+    quo = [0] * (len(a) - n)
+    for shift in range(len(quo) - 1, -1, -1):
+        q = quo[shift] = a[shift + n]
+        if q:
+            a[shift:shift + n] = [(c - q * d) % p for c, d in zip(a[shift:shift + n], m)]
+    return quo
+
+
+def _u_degrees_mod(u: list[int], p: int) -> list[int] | None:
+    """Degrees of the irreducible factors of u modulo p (distinct-degree
+    factorization), or None when u drops degree or is not squarefree there."""
+    if not _u_coprime_mod_prime(u, _u_derivative(u), p):
+        return None
+    f = _p_gcd([c % p for c in u], [], p)  # u made monic
+    n = len(f) - 1
+    # frobenius[j] = t^(p j) mod f, n entries each; h -> h^p is linear
+    frobenius, power, tail = [], [1] + [0] * (n - 1), f[1:n]
+    for k in range(p * (n - 1) + 1):
+        if k % p == 0:
+            frobenius.append(power)
+        top = power[-1]  # power * t, reduced by t^n = -(f[0] + ... )
+        power = [-top * f[0] % p] + [(c - top * d) % p for c, d in zip(power, tail)]
+    degrees: list[int] = []
+    rest, h, d = f, [0, 1], 0
+    while 2 * (d + 1) <= len(rest) - 1:
+        d += 1
+        power = [0] * n
+        for j, c in enumerate(h):
+            if c:
+                power = [a + c * q for a, q in zip(power, frobenius[j])]
+        h = _u_trim([c % p for c in power])  # t^(p^d) mod f
+        shifted = h + [0] * (2 - len(h))
+        shifted[1] = (shifted[1] - 1) % p
+        g = _p_gcd(rest, _u_trim(shifted), p)
+        if len(g) > 1:
+            degrees += [d] * ((len(g) - 1) // d)
+            rest = _p_exquo(rest, g, p)
+    if len(rest) > 1:
+        degrees.append(len(rest) - 1)
+    return degrees
+
+
+def _u_irreducible_by_degrees(u: list[int]) -> bool:
+    """True when the factor degrees of u modulo a few small primes leave no
+    room for a proper factor over the integers, given that u has none of
+    degree 1 (hence none of degree n - 1).  A factor of degree k keeps its
+    degree modulo a prime not dividing the leading coefficient, so k is a
+    sum of some of the factor degrees there; True proves u irreducible over
+    the rationals, False proves nothing."""
+    n = len(u) - 1
+    whole = 1 | (1 << n)
+    possible = ((1 << (n + 1)) - 1) & ~(2 | (1 << (n - 1)))  # bit k: degree k
+    used = 0
+    for p in _SMALL_PRIMES:
+        degrees = _u_degrees_mod(u, p)
+        if degrees is None:
+            continue
+        sums = 1
+        for d in degrees:
+            sums |= sums << d
+        possible &= sums
+        if possible == whole:
+            return True
+        used += 1
+        if used == _CERTIFICATE_PRIMES:
+            break
+    return False
+
+
+def _u_irreducible_factors(u: list[int]) -> list[list[int]]:
+    """The primitive irreducible factors of the squarefree primitive u."""
+    if len(u) <= 2:
+        return [u]
+    du = _u_derivative(u)
+    p = next((p for p in _SMALL_PRIMES if _u_coprime_mod_prime(u, du, p)), None)
+    if p is None:
+        return dup_zz_factor(u)
+    factors, rest = _u_linear_factors(u, p)
+    if len(rest) == 1:
+        return factors
+    if len(rest) <= 4 or _u_irreducible_by_degrees(rest):
+        return factors + [rest]
+    return factors + dup_zz_factor(rest)
+
+
 Y_FORM = BinaryForm(1, (0, 1))
 
 
@@ -431,16 +624,10 @@ def factor_over_rationals(f: BinaryForm) -> Factorization:
     k, u = _dehomogenize(f)
     content = Fraction(f.leading_coefficient, u[-1])
     factors: list[tuple[BinaryForm, int]] = [(Y_FORM, k)] if k else []
-    if len(u) > 1:
-        lead_unit, raw = dup_zz_factor([ZZ(c) for c in reversed(u)], ZZ)
-        content *= int(lead_unit)
-        for coeffs, mult in raw:
-            fac = BinaryForm.from_coefficients(len(coeffs) - 1, map(int, coeffs))
-            if fac.leading_coefficient < 0:
-                fac = -fac
-                if mult % 2 == 1:
-                    content = -content
-            factors.append((fac, mult))
+    # u and every factor below are primitive with positive leading
+    # coefficients, so u is exactly their product and content stays.
+    for part, mult in _u_squarefree_parts(u):
+        factors += [(_homogenize(0, g), mult) for g in _u_irreducible_factors(part)]
     factors.sort(key=lambda item: item[0].sort_key())
     return Factorization(content, tuple(factors))
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .enumeration import enumerate_isotrivial
 from .errors import InternalInvariantError
+from .forms import rational_str
 from .kodaira import (
     DuValLabel,
     FiberConfiguration,
@@ -144,7 +145,7 @@ class ClassificationReport:
         lines.append(f"sing: {self.sing}")
         lines.append(f"rho: {self.rho}")
         if self.j is not None and self.j.constant:
-            lines.append(f"isotrivial: yes (j = {self.j.value})")
+            lines.append(f"isotrivial: yes (j = {rational_str(self.j.value)})")
         else:
             lines.append("isotrivial: no (j nonconstant)")
         lines.append(f"coreg1: {self.coreg1}")
@@ -190,7 +191,7 @@ def _j_dict(j: JInvariant | None) -> dict | None:
     if j is None:
         return None
     if j.constant:
-        return {"kind": "constant", "value": str(j.value)}
+        return {"kind": "constant", "value": rational_str(j.value)}
     return {"kind": "nonconstant"}
 
 

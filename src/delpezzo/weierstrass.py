@@ -162,9 +162,12 @@ def _j_from_parts(cube: BinaryForm, square: BinaryForm) -> JInvariant:
     a, s = next((c, t) for c, t in pairs if t)
     if any(c * s != a * t for c, t in pairs):
         return JInvariant(False)
-    # j = 1728 * 4 (a/s) / (4 (a/s) + 27); the denominator cannot vanish,
-    # that would make delta identically zero.
-    return JInvariant(True, _exact(Fraction(6912 * a, 4 * a + 27 * s)))
+    # j = 1728 * 4 (a/s) / (4 (a/s) + 27); a zero denominator makes delta
+    # vanish identically (weierstrass_data rejects that before j is read).
+    denominator = 4 * a + 27 * s
+    if denominator == 0:
+        raise ZeroDiscriminantError("j undefined: discriminant vanishes identically")
+    return JInvariant(True, _exact(Fraction(6912 * a, denominator)))
 
 
 def cube_test(f6: BinaryForm) -> bool:

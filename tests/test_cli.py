@@ -187,11 +187,15 @@ def test_classify_batch_survives_bad_number_literals(capsys):
     assert err == "zero denominator (at position 2)\n"
 
 
-def test_classify_turns_an_unexpected_exception_into_its_input_error(tmp_path, capsys):
-    # a place coefficient of about 15,000 digits, which str() refuses to print
-    huge = "(10^1000*10^1000*10^1000*10^1000*10^1000)"
+def test_classify_turns_an_unexpected_exception_into_its_input_error(
+        tmp_path, monkeypatch, capsys):
+    def fail(f):
+        raise ValueError("no factorization today")
+
+    # naming the places of a piece of degree >= 2 fails; linear ones need no call
+    monkeypatch.setattr("delpezzo.kodaira.factor_over_rationals", fail)
     line = "w^2 + z^3 + x^5*y"
-    bad = f"w^2 + z^3 + {huge}*x^4*z + x^5*y"
+    bad = "w^2 + z^3 + x^4*z + x^5*y"
     batch = tmp_path / "batch.txt"
     batch.write_text(f"{line}\n{bad}\n{line}\n")
     code, out, err = run(capsys, "classify", "--json", "--file", str(batch))
@@ -199,15 +203,37 @@ def test_classify_turns_an_unexpected_exception_into_its_input_error(tmp_path, c
     first, middle, last = out.splitlines()
     assert first == last and json.loads(first)["errors"] == []
     [error] = json.loads(middle)["errors"]
-    assert error["code"] == "internal" and error["stage"] == "validate"
-    assert error["message"].startswith("unexpected ValueError: ")
+    assert error == {"code": "internal", "stage": "validate",
+                     "message": "unexpected ValueError: no factorization today"}
     assert err == f"{bad}: {error['message']}\n"
     # the --f4/--f6 pair runs through the same loop, in text mode too
-    code, out, err = run(capsys, "classify", "--json", f"--f4={huge}*x^4", "--f6=x^5*y")
+    code, out, err = run(capsys, "classify", "--json", "--f4=x^4", "--f6=x^5*y")
     assert code == 1 and json.loads(out) == {"errors": [error]}
     assert err == error["message"] + "\n"
-    code, out, err = run(capsys, "classify", f"--f4={huge}*x^4", "--f6=x^5*y")
+    code, out, err = run(capsys, "classify", "--f4=x^4", "--f6=x^5*y")
     assert code == 1 and out == "" and err == error["message"] + "\n"
+
+
+def test_classify_prints_coefficients_past_the_int_str_limit(capsys):
+    # a place coefficient of 15,001 digits, more than str(int) prints
+    huge = "(10^1000*10^1000*10^1000*10^1000*10^1000)"
+    code, out, err = run(capsys, "classify", "--json", f"w^2 + z^3 + {huge}*x^4*z + x^5*y")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["errors"] == []
+    assert [p["place_poly"] for p in report["fibers"]] == [
+        "x", "4" + "0" * 15000 + "*x^2 + 27*y^2"]
+    code, text, err = run(capsys, "classify", f"w^2 + z^3 + {huge}*x^4*z + x^5*y")
+    assert code == 0 and err == ""
+    assert "  I1 at (4" + "0" * 15000 + "*x^2 + 27*y^2), degree 2," in text
+    # a constant j = 6912 H^3 / (4 H^3 + 27) with H = 10^5000, in text and JSON
+    pair = [f"--f4={huge}*x^2*y^2", "--f6=x^3*y^3"]
+    j = "6912" + "0" * 15000 + "/4" + "0" * 14998 + "27"
+    code, out, err = run(capsys, "classify", "--json", *pair)
+    assert code == 0 and err == ""
+    assert json.loads(out)["j"] == {"kind": "constant", "value": j}
+    code, text, err = run(capsys, "classify", *pair)
+    assert code == 0 and err == "" and f"isotrivial: yes (j = {j})" in text
 
 
 def test_classify_into_a_closed_pipe_exits_1_without_traceback(tmp_path):
@@ -226,6 +252,28 @@ def test_classify_into_a_closed_pipe_exits_1_without_traceback(tmp_path):
         proc.stdout.close()
         assert proc.wait(timeout=120) == 1
     assert "Traceback" not in errors.read_text()
+
+
+def test_classify_and_catalog_verify_never_import_sympy():
+    # sympy is the Zassenhaus fallback only; the golden lines name places of
+    # degree up to 12 without it
+    src = os.path.dirname(os.path.dirname(delpezzo.__file__))
+    inputs = os.path.join(os.path.dirname(__file__), "golden", "inputs.txt")
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import delpezzo",
+        "from delpezzo.cli import main",
+        "print('sympy' in sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    with contextlib.redirect_stderr(io.StringIO()):",
+        f"        main(['classify', '--json', '--file', {inputs!r}])",
+        "        print(main(['catalog', '--verify']), file=sys.__stdout__)",
+        "print('sympy' in sys.modules)",
+    ])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n0\nFalse\n"
 
 
 def test_classify_batch_reports_a_failure_naming_places_on_its_line(

@@ -1,15 +1,18 @@
 """Ring arithmetic, gcd, squarefree splitting, factorization, valuations."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from delpezzo import forms
 from delpezzo.errors import DegreeMismatchError, ZeroFormError
 from delpezzo.forms import (
     INFINITY,
     BinaryForm,
+    Factorization,
     factor_over_rationals,
     form_gcd,
     squarefree_decomposition,
@@ -190,6 +193,162 @@ def test_factor_normalization_and_irreducibility():
         (2, -3): 2,
         (0, 1): 3,
     }
+
+
+# -- differential test against Zassenhaus ------------------------------------------------
+
+
+def zassenhaus_reference(f: BinaryForm) -> Factorization:
+    """The factorization of f by sympy's dup_zz_factor alone."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_zz_factor
+
+    k = next(i for i, c in enumerate(f.coefficients) if c)
+    rest = f.coefficients[k:]
+    den = math.lcm(*(Fraction(c).denominator for c in rest))
+    lead, raw = dup_zz_factor([ZZ(int(c * den)) for c in rest], ZZ)
+    content = Fraction(int(lead), den)
+    factors = [(form("y", 1), k)] if k else []
+    for coeffs, mult in raw:
+        g = BinaryForm.from_coefficients(len(coeffs) - 1, [int(c) for c in coeffs])
+        if g.leading_coefficient < 0:
+            g, content = -g, content * (-1) ** mult
+        factors.append((g, mult))
+    return Factorization(content, tuple(sorted(factors, key=lambda i: i[0].sort_key())))
+
+
+@pytest.fixture
+def zassenhaus_calls(monkeypatch):
+    calls = []
+    real = forms.dup_zz_factor
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(forms, "dup_zz_factor", counted)
+    return calls
+
+
+def _random_form(rng, degree, bits=16, lead=None):
+    coeffs = [rng.randint(-(1 << bits), 1 << bits) or 1 for _ in range(degree + 1)]
+    if lead is not None:
+        coeffs[0] = lead
+    return BinaryForm.from_coefficients(degree, coeffs)
+
+
+def _without_rational_root(rng, degree, bits=8):
+    """A random form of degree 2 or 3 with no linear factor, so irreducible."""
+    while True:
+        f = _random_form(rng, degree, bits)
+        if not bruteforce.linear_factors(as_tuple(f)):
+            return f
+
+
+def _product(forms_):
+    return math.prod(forms_, start=BinaryForm.constant(1))
+
+
+SMALL_PRIMES_PRODUCT = math.prod(forms._SMALL_PRIMES)
+
+
+def test_factor_irreducible_degrees_2_to_12_without_zassenhaus(zassenhaus_calls):
+    rng = random.Random(9001)
+    for degree in range(2, 13):
+        irreducible = 0
+        for _ in range(12):
+            f = _random_form(rng, degree, rng.choice([4, 16, 64]))
+            expected = zassenhaus_reference(f)
+            assert factor_over_rationals(f) == expected, f
+            irreducible += len(expected.factors) == 1
+        assert irreducible >= 10, degree
+    assert zassenhaus_calls == []
+
+
+def test_factor_products_of_linear_forms_without_zassenhaus(zassenhaus_calls):
+    rng = random.Random(9002)
+    for _ in range(150):
+        linear = [_random_form(rng, 1, rng.choice([2, 8, 40]))
+                  for _ in range(rng.randint(2, 12))]
+        f = _product(linear) * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        assert factor_over_rationals(f) == zassenhaus_reference(f), f
+    assert zassenhaus_calls == []
+
+
+def test_factor_products_of_quadratics_and_cubics_fall_back_to_zassenhaus(zassenhaus_calls):
+    rng = random.Random(9003)
+    cases = [form("(x^2+y^2)*(x^2+2*y^2)", 4), form("x^4+y^4", 4)]  # x^4+1 splits mod every p
+    for _ in range(60):
+        pieces = [_without_rational_root(rng, rng.choice([2, 3]))
+                  for _ in range(rng.randint(2, 3))]
+        pieces += [_random_form(rng, 1, 6) for _ in range(rng.randint(0, 2))]
+        cases.append(_product(pieces))
+    for f in cases:
+        zassenhaus_calls.clear()
+        expected = zassenhaus_reference(f)
+        assert factor_over_rationals(f) == expected, f
+        nonlinear = [g for g, _ in expected.factors if g.degree > 1]
+        # a product of nonlinear pieces leaves no rational root and no proof
+        assert len(zassenhaus_calls) == (len(nonlinear) > 1 or nonlinear[0].degree > 3)
+        assert all(len(u) - 1 == sum(g.degree for g in nonlinear) for u in zassenhaus_calls)
+
+
+def test_factor_with_lead_divisible_by_the_small_primes():
+    rng = random.Random(9004)
+    leads = [SMALL_PRIMES_PRODUCT, SMALL_PRIMES_PRODUCT * 1009, 2 * 3 * 5 * 7, 2**40 * 3**20]
+    for lead in leads:
+        for degree in range(2, 9):
+            f = _random_form(rng, degree, 12, lead=lead)
+            assert factor_over_rationals(f) == zassenhaus_reference(f), f
+            g = _product([_random_form(rng, 1, 4, lead=lead), _random_form(rng, degree, 6)])
+            assert factor_over_rationals(g) == zassenhaus_reference(g), g
+
+
+def test_factor_non_squarefree_forms_and_the_valuation_probe():
+    rng = random.Random(9005)
+    for _ in range(80):
+        pieces = [_random_form(rng, rng.randint(1, 3), 5) for _ in range(rng.randint(1, 3))]
+        f = _product(p ** rng.randint(1, 4) for p in pieces)
+        assert factor_over_rationals(f) == zassenhaus_reference(f), f
+        if len(pieces) == 1 and f.degree > pieces[0].degree:
+            with pytest.raises(ValueError):
+                valuation(f, f)
+
+
+def test_factor_forms_with_powers_of_x_and_y():
+    rng = random.Random(9006)
+    for _ in range(60):
+        kx, ky = rng.randint(0, 3), rng.randint(1, 4)
+        f = form("x", 1) ** kx * form("y", 1) ** ky * _random_form(rng, rng.randint(1, 6), 10)
+        assert factor_over_rationals(f) == zassenhaus_reference(f), f
+
+
+def test_factor_coefficients_past_the_int_str_limit():
+    rng = random.Random(9007)
+    huge = 10**4400 + 3
+    cases = [
+        form("x", 1) * huge + form("3*y", 1),
+        (form("x", 1) * huge + form("3*y", 1)) * form("x^2+7*y^2", 2) * huge,
+        BinaryForm.from_coefficients(2, [huge, 0, 27 * huge**2 + 1]),
+    ]
+    for degree in (3, 5):
+        cases.append(_random_form(rng, degree, 14700))  # about 4,400 digits
+        cases.append(_product([_random_form(rng, 1, 14700), _random_form(rng, degree, 30)]))
+    for f in cases:
+        assert factor_over_rationals(f) == zassenhaus_reference(f)
+
+
+def test_rational_str_past_the_int_str_limit():
+    assert forms.rational_str(-12) == "-12"
+    assert forms.rational_str(Fraction(-7, 3)) == "-7/3"
+    assert forms.rational_str(Fraction(6, 3)) == "2"
+    big = 7 * 10**5000 + 123
+    assert forms.rational_str(big) == "7" + "0" * 4997 + "123"
+    assert forms.rational_str(-big) == "-7" + "0" * 4997 + "123"
+    assert forms.rational_str(Fraction(1, 10**4400)) == "1/1" + "0" * 4400
+    assert forms.rational_str(10**3000 * (10**2000 - 1)) == "9" * 2000 + "0" * 3000
+    f = BinaryForm.from_coefficients(1, [big, -1])
+    assert str(f) == "7" + "0" * 4997 + "123*x - y"
 
 
 # -- valuation ---------------------------------------------------------------------------

@@ -265,6 +265,24 @@ def test_generic_verdicts_factor_nothing_and_output_factors_once(monkeypatch):
         calls.clear()
 
 
+def test_naming_places_of_dense_and_cli_batch_lines_makes_no_zassenhaus_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(forms, "dup_zz_factor", lambda *args: calls.append(args))
+    lines = itertools.chain(
+        (g.text for g in itertools.islice(gen.dense_stream(13), 100)),
+        (case.text for case in itertools.islice(workloads.cli_cases(13), 100)),
+    )
+    named = 0
+    for line in lines:
+        try:
+            report = classify_surface(line)
+        except InvalidSurfaceError:
+            continue
+        report.to_json()
+        named += any(p.poly.degree > 1 for p in report.fibers.pieces)
+    assert calls == [] and named >= 120
+
+
 def _int_unless_fractional(value):
     """int, or a Fraction that is not integral: never a float, never an
     integral Fraction."""

@@ -118,6 +118,15 @@ def test_discriminant_zero_rejected():
         discriminant(-3 * (u * u), 2 * (u * u * u))
 
 
+def test_j_undefined_when_discriminant_vanishes_with_both_forms_nonzero():
+    # 4 f4^3 + 27 f6^2 = 0 makes the j formula divide by zero
+    u = form("x*y", 2)
+    with pytest.raises(ZeroDiscriminantError):
+        j_invariant(-3 * (u * u), 2 * (u * u * u))
+    with pytest.raises(ZeroDiscriminantError):
+        j_invariant(-3 * (u * u) * 4, 2 * (u * u * u) * 8)
+
+
 # -- j invariant ---------------------------------------------------------------------
 
 
