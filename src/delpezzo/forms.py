@@ -352,15 +352,10 @@ def _u_exquo(a: list[int], b: list[int]) -> list[int] | None:
     return None if any(rem[:n - 1]) else quo
 
 
-def _u_coprime_mod_prime(a: list[int], b: list[int], p: int = _PRIME) -> bool:
-    """True when a keeps its degree modulo the prime p (a large one by
-    default) and is coprime to b there.  A common factor over the rationals
-    would stay a common factor of positive degree modulo p, so True proves a
-    and b coprime; False proves nothing."""
-    a = [c % p for c in a]
-    if not a[-1]:
-        return False
-    b = _u_trim([c % p for c in b])
+def _p_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p) of the nonzero a and b, both trimmed lists of
+    residues (b may be empty)."""
+    a, b = list(a), list(b)
     while b:  # fraction-free Euclid: scale instead of inverting leads
         lb, low = b[-1], b[:-1]
         n = len(low)
@@ -372,7 +367,17 @@ def _u_coprime_mod_prime(a: list[int], b: list[int], p: int = _PRIME) -> bool:
             ]
             _u_trim(a)
         a, b = b, a
-    return len(a) == 1
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _u_coprime_mod_prime(a: list[int], b: list[int], p: int = _PRIME) -> bool:
+    """True when a keeps its degree modulo the prime p (a large one by
+    default) and is coprime to b there.  A common factor over the rationals
+    would stay a common factor of positive degree modulo p, so True proves a
+    and b coprime; False proves nothing."""
+    a = [c % p for c in a]
+    return a[-1] != 0 and len(_p_gcd(a, _u_trim([c % p for c in b]), p)) == 1
 
 
 def _u_squarefree_parts(u: list[int]) -> list[tuple[list[int], int]]:
@@ -476,22 +481,6 @@ def _u_linear_factors(u: list[int], p: int) -> tuple[list[list[int]], list[int]]
     return linear, rest
 
 
-def _p_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over GF(p) of the nonzero a and any b."""
-    while b:
-        inv = pow(b[-1], -1, p)
-        n = len(b) - 1
-        a = list(a)
-        while len(a) > n:
-            la = a.pop() * inv % p
-            if la:
-                s = len(a) - n
-                a[s:] = [(c - la * d) % p for c, d in zip(a[s:], b)]
-        a, b = b, _u_trim(a)
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
 def _p_exquo(a: list[int], m: list[int], p: int) -> list[int]:
     """a / m over GF(p) for a monic m that divides a."""
     a = list(a)
@@ -511,22 +500,26 @@ def _u_degrees_mod(u: list[int], p: int) -> list[int] | None:
         return None
     f = _p_gcd([c % p for c in u], [], p)  # u made monic
     n = len(f) - 1
-    # frobenius[j] = t^(p j) mod f, n entries each; h -> h^p is linear
-    frobenius, power, tail = [], [1] + [0] * (n - 1), f[1:n]
+    # A polynomial mod f packs into one int, coefficient i in bits [w i,
+    # w i + w).  A step from t^k to t^(k+1) mod f shifts up and folds the top
+    # coefficient back through t^n = -(f[0] + ... + f[n-1] t^(n-1)), leaving
+    # the lanes unreduced: a step adds less than p^2 to a lane, so the rows
+    # frobenius[j] = t^(p j) mod f stay below p^3 n and each h^p = sum h_j
+    # frobenius[j] below p^4 n^2, which w bits hold.  h -> h^p is linear.
+    w = (p**4 * n * n).bit_length()
+    top, low, mask = w * (n - 1), (1 << (w * (n - 1))) - 1, (1 << w) - 1
+    fold = sum(-c % p << (w * i) for i, c in enumerate(f[:n]))
+    frobenius, power = [], 1
     for k in range(p * (n - 1) + 1):
         if k % p == 0:
             frobenius.append(power)
-        top = power[-1]  # power * t, reduced by t^n = -(f[0] + ... )
-        power = [-top * f[0] % p] + [(c - top * d) % p for c, d in zip(power, tail)]
+        power = ((power & low) << w) + (power >> top) % p * fold
     degrees: list[int] = []
     rest, h, d = f, [0, 1], 0
     while 2 * (d + 1) <= len(rest) - 1:
         d += 1
-        power = [0] * n
-        for j, c in enumerate(h):
-            if c:
-                power = [a + c * q for a, q in zip(power, frobenius[j])]
-        h = _u_trim([c % p for c in power])  # t^(p^d) mod f
+        power = sum(c * row for c, row in zip(h, frobenius))
+        h = _u_trim([(power >> (w * i) & mask) % p for i in range(n)])  # t^(p^d) mod f
         shifted = h + [0] * (2 - len(h))
         shifted[1] = (shifted[1] - 1) % p
         g = _p_gcd(rest, _u_trim(shifted), p)

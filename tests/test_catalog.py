@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import delpezzo.catalog as catalog
-import delpezzo.forms as forms
+import delpezzo.kodaira as kodaira
 from delpezzo.catalog import (
     Witness,
     emit_tables,
@@ -34,17 +34,21 @@ def test_catalog_verifies_clean():
 
 def test_each_witness_is_factored_at_most_once(monkeypatch):
     calls = []
-    real = forms.dup_zz_factor
+    real = kodaira.factor_over_rationals
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(form):
+        calls.append(form)
+        return real(form)
 
-    monkeypatch.setattr(forms, "dup_zz_factor", counted)
+    monkeypatch.setattr(kodaira, "factor_over_rationals", counted)
     for witness in witness_catalog():
         calls.clear()
-        classify_surface(witness.equation)
-        assert len(calls) <= 1, witness.name
+        report = classify_surface(witness.equation)
+        assert calls == [], witness.name
+        report.to_json()
+        report.to_json()
+        higher = [p.poly for p in report.fibers.pieces if p.poly.degree > 1]
+        assert sorted(calls, key=str) == sorted(higher, key=str), witness.name
 
 
 def test_verify_witness_detects_mismatch():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import delpezzo.forms as forms
+import delpezzo.kodaira as kodaira
 from delpezzo.catalog import witness_catalog
 from delpezzo.errors import InvalidSurfaceError
 from delpezzo.forms import BinaryForm
@@ -244,30 +245,15 @@ def test_classify_weierstrass_equals_equation_path():
 
 
 def test_generic_verdicts_factor_nothing_and_output_factors_once(monkeypatch):
-    calls = []
-    real = forms.dup_zz_factor
+    factored, zassenhaus = [], []
+    real = kodaira.factor_over_rationals
 
-    def counted(*args):
-        calls.append(tuple(args[0]))
-        return real(*args)
+    def counted(form):
+        factored.append(form)
+        return real(form)
 
-    monkeypatch.setattr(forms, "dup_zz_factor", counted)
-    stream = gen.dense_stream(5)
-    for _ in range(20):
-        report = classify_surface(next(stream).text)
-        assert calls == []
-        report.to_json()
-        assert len(calls) == len(set(calls))
-        assert len(calls) <= sum(p.poly.degree > 1 for p in report.fibers.pieces)
-        made = len(calls)
-        report.to_json()
-        assert len(calls) == made
-        calls.clear()
-
-
-def test_naming_places_of_dense_and_cli_batch_lines_makes_no_zassenhaus_call(monkeypatch):
-    calls = []
-    monkeypatch.setattr(forms, "dup_zz_factor", lambda *args: calls.append(args))
+    monkeypatch.setattr(kodaira, "factor_over_rationals", counted)
+    monkeypatch.setattr(forms, "dup_zz_factor", lambda *args: zassenhaus.append(args))
     lines = itertools.chain(
         (g.text for g in itertools.islice(gen.dense_stream(13), 100)),
         (case.text for case in itertools.islice(workloads.cli_cases(13), 100)),
@@ -278,9 +264,15 @@ def test_naming_places_of_dense_and_cli_batch_lines_makes_no_zassenhaus_call(mon
             report = classify_surface(line)
         except InvalidSurfaceError:
             continue
+        assert factored == []
         report.to_json()
-        named += any(p.poly.degree > 1 for p in report.fibers.pieces)
-    assert calls == [] and named >= 120
+        higher = [p.poly for p in report.fibers.pieces if p.poly.degree > 1]
+        assert sorted(factored, key=str) == sorted(higher, key=str)
+        report.to_json()
+        assert len(factored) == len(higher)
+        named += bool(higher)
+        factored.clear()
+    assert zassenhaus == [] and named >= 120
 
 
 def _int_unless_fractional(value):
