@@ -531,18 +531,19 @@ def _u_degrees_mod(u: list[int], p: int) -> list[int] | None:
     return degrees
 
 
-def _u_irreducible_by_degrees(u: list[int]) -> bool:
+def _u_irreducible_by_degrees(u: list[int], start: int = 2) -> bool:
     """True when the factor degrees of u modulo a few small primes leave no
     room for a proper factor over the integers, given that u has none of
     degree 1 (hence none of degree n - 1).  A factor of degree k keeps its
     degree modulo a prime not dividing the leading coefficient, so k is a
     sum of some of the factor degrees there; True proves u irreducible over
-    the rationals, False proves nothing."""
+    the rationals, False proves nothing.  The primes below start must be
+    known to be unusable for u (to drop its degree or its squarefreeness)."""
     n = len(u) - 1
     whole = 1 | (1 << n)
     possible = ((1 << (n + 1)) - 1) & ~(2 | (1 << (n - 1)))  # bit k: degree k
     used = 0
-    for p in _SMALL_PRIMES:
+    for p in _SMALL_PRIMES[_SMALL_PRIMES.index(start):]:
         degrees = _u_degrees_mod(u, p)
         if degrees is None:
             continue
@@ -569,7 +570,8 @@ def _u_irreducible_factors(u: list[int]) -> list[list[int]]:
     factors, rest = _u_linear_factors(u, p)
     if len(rest) == 1:
         return factors
-    if len(rest) <= 4 or _u_irreducible_by_degrees(rest):
+    # when rest is u, every prime below p is known to be unusable for it
+    if len(rest) <= 4 or _u_irreducible_by_degrees(rest, 2 if factors else p):
         return factors + [rest]
     return factors + dup_zz_factor(rest)
 

@@ -12,12 +12,15 @@ Products and powers above weighted degree ``MAX_WEIGHTED_DEGREE``, and powers
 of numbers above ``MAX_POWER_BITS`` bits, are rejected before they are
 expanded.
 
+The parser expands as it reads.  A sum accumulates its terms in place in
+one dict, a product with a single term shifts the monomials of the other
+factor in one pass, and a power of a single term is one monomial.
+
 Coefficients follow the rule of :mod:`delpezzo.forms`: an ``int`` when the
 value is integral, a ``Fraction`` only when it is not, never a float.  An
 integer literal is an ``int`` and only ``p/q`` makes a ``Fraction``; sums
-and products of ints stay ints.  The :class:`GeneralSextic` normalizes what
-it collects, so an integral value reached through ``p/q`` is an ``int``
-there.
+and products of ints stay ints.  :func:`parse_polynomial` normalizes what it
+returns, so an integral value reached through ``p/q`` is an ``int`` there.
 """
 
 from __future__ import annotations
@@ -106,6 +109,26 @@ class Poly:
         self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
 
     @staticmethod
+    def _nonzero(terms: dict[Monomial, int | Fraction]) -> "Poly":
+        """A Poly of terms that are known to be nonzero, without a copy."""
+        poly = Poly.__new__(Poly)
+        poly.terms = terms
+        return poly
+
+    def _accumulate(self, other: "Poly", negate: bool) -> None:
+        """self += other (self -= other when negate), in place; a monomial
+        that cancels leaves the dict, as in a new sum."""
+        terms = self.terms
+        for m, c in other.terms.items():
+            old = terms.get(m)
+            if old is None:
+                terms[m] = -c if negate else c
+            elif (c := old - c if negate else old + c):
+                terms[m] = c
+            else:
+                del terms[m]
+
+    @staticmethod
     def constant(value: int | Fraction) -> "Poly":
         return Poly({(0, 0, 0, 0): value} if value else {})
 
@@ -116,21 +139,27 @@ class Poly:
         return Poly({tuple(exps): 1})
 
     def __add__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return Poly(terms)
+        result = Poly._nonzero(dict(self.terms))
+        result._accumulate(other, negate=False)
+        return result
 
     def __sub__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) - c
-        return Poly(terms)
+        result = Poly._nonzero(dict(self.terms))
+        result._accumulate(other, negate=True)
+        return result
 
     def __neg__(self) -> "Poly":
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
+        if len(other.terms) == 1:
+            self, other = other, self
+        if len(self.terms) == 1:  # one term: shift the monomials, no sums
+            ((m1, c1),) = self.terms.items()
+            return Poly._nonzero({
+                (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3]): c1 * c2
+                for m2, c2 in other.terms.items()
+            })
         terms: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -139,6 +168,9 @@ class Poly:
         return Poly(terms)
 
     def __pow__(self, exponent: int) -> "Poly":
+        if len(self.terms) == 1 and exponent:
+            ((m, c),) = self.terms.items()
+            return Poly._nonzero({tuple(e * exponent for e in m): c**exponent})
         result = Poly.constant(1)
         base = self
         while exponent:
@@ -202,19 +234,17 @@ class _Parser:
         lhs = self.parse_expression()
         if self.peek().kind == "=":
             self.advance()
-            rhs = self.parse_expression()
-            lhs = lhs - rhs
+            lhs._accumulate(self.parse_expression(), negate=True)
         end = self.peek()
         if end.kind != "end":
             raise EquationError(f"unexpected '{end.kind}'", end.pos)
         return lhs
 
     def parse_expression(self) -> Poly:
-        value = self.parse_term()
+        value = self.parse_term()  # a new Poly, which the sum may take over
         while self.peek().kind in "+-":
-            op = self.advance().kind
-            rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
+            negate = self.advance().kind == "-"
+            value._accumulate(self.parse_term(), negate)
         return value
 
     def parse_term(self) -> Poly:
@@ -287,9 +317,11 @@ def parse_polynomial(text: str) -> Poly:
     if not text.strip():
         raise EquationError("empty input", 0)
     try:
-        return _Parser(text).parse_equation()
+        poly = _Parser(text).parse_equation()
     except RecursionError:
         raise EquationError("expression nested too deeply") from None
+    poly.terms = {m: _exact(c) for m, c in poly.terms.items()}
+    return poly
 
 
 # -- the general sextic ------------------------------------------------------------

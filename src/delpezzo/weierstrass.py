@@ -11,6 +11,13 @@ f6 = -c6/864.  The result is isomorphic to the input surface over the
 rationals; valuations of (f4, f6, delta) at every place -- hence the whole
 classification -- do not depend on the choices made here.
 
+The work runs on integers.  A rational sextic is scaled once by the lcm of
+its denominators, which leaves one division per form for f4 and f6.  The
+substitution z -> u^2 z, w -> u^3 w scales (f4, f6) to (u^4 f4, u^6 f6) and
+delta to u^12 delta, and changes no valuation, no split and not j, so
+``weierstrass_data`` cubes, squares and splits the integral model with u
+the lcm of the denominators of f4 and f6, and divides delta by u^12 once.
+
 Every verdict is read from the valuation triples (v4, v6, vD) of
 (f4, f6, delta) at the places of the base line.  ``WeierstrassData.split``
 computes them once and with no factorization, as squarefree pieces of
@@ -30,6 +37,7 @@ w^2 + z^3 + ... = 0), which tests account for explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -79,8 +87,9 @@ class JInvariant:
 class WeierstrassData:
     """Validated short-Weierstrass pair with its discriminant and j-invariant.
 
-    ``split`` is computed on first read; equality and hashing look only at
-    the four fields.
+    ``weierstrass_data`` fills ``split`` from its integral model; an
+    instance built directly computes it on first read.  Equality and
+    hashing look only at the four fields.
     """
 
     f4: BinaryForm
@@ -91,31 +100,36 @@ class WeierstrassData:
     @cached_property
     def split(self) -> tuple[tuple[BinaryForm, int | float, int | float, int], ...]:
         """(piece, v4, v6, vD) for the squarefree pieces of delta, one per
-        valuation triple; y = 0 is a piece of its own.
+        valuation triple; y = 0 is a piece of its own."""
+        return _split(self.f4, self.f6, self.delta)
 
-        Yun's algorithm splits the affine part of delta by vD; each part is
-        split by the order of vanishing of f4, then of f6.  A simple root of
-        delta needs no split, v4 = v6 = 0 there: if only one of f4, f6
-        vanished there, delta would not, and if both did, delta would vanish
-        at least twice.  So a discriminant that is squarefree (the generic
-        case) costs one modular check and no gcd.  Each piece is primitive
-        with positive x-major leading coefficient.
-        """
-        k, u = _dehomogenize(self.delta)
-        f4 = None if self.f4.is_zero else _dehomogenize(self.f4)
-        f6 = None if self.f6.is_zero else _dehomogenize(self.f6)
-        pieces = []
-        if k:
-            v4, v6 = (INFINITY if f is None else f[0] for f in (f4, f6))
-            pieces.append((Y_FORM, v4, v6, k))
-        for part, vD in _u_squarefree_parts(u):
-            if vD == 1:
-                pieces.append((_homogenize(0, part), 0, 0, 1))
-                continue
-            for piece4, v4 in _split_by_order(part, f4):
-                for piece, v6 in _split_by_order(piece4, f6):
-                    pieces.append((_homogenize(0, piece), v4, v6, vD))
-        return tuple(pieces)
+
+def _split(f4: BinaryForm, f6: BinaryForm, delta: BinaryForm):
+    """WeierstrassData.split of the pair (f4, f6) with discriminant delta.
+
+    Yun's algorithm splits the affine part of delta by vD; each part is
+    split by the order of vanishing of f4, then of f6.  A simple root of
+    delta needs no split, v4 = v6 = 0 there: if only one of f4, f6
+    vanished there, delta would not, and if both did, delta would vanish
+    at least twice.  So a discriminant that is squarefree (the generic
+    case) costs one modular check and no gcd.  Each piece is primitive
+    with positive x-major leading coefficient.
+    """
+    k, u = _dehomogenize(delta)
+    f4 = None if f4.is_zero else _dehomogenize(f4)
+    f6 = None if f6.is_zero else _dehomogenize(f6)
+    pieces = []
+    if k:
+        v4, v6 = (INFINITY if f is None else f[0] for f in (f4, f6))
+        pieces.append((Y_FORM, v4, v6, k))
+    for part, vD in _u_squarefree_parts(u):
+        if vD == 1:
+            pieces.append((_homogenize(0, part), 0, 0, 1))
+            continue
+        for piece4, v4 in _split_by_order(part, f4):
+            for piece, v6 in _split_by_order(piece4, f6):
+                pieces.append((_homogenize(0, piece), v4, v6, vD))
+    return tuple(pieces)
 
 
 def _split_by_order(g: list[int], f: tuple[int, list[int]] | None):
@@ -185,10 +199,23 @@ def weierstrass_data(f4: BinaryForm, f6: BinaryForm) -> WeierstrassData:
     a singularity that is not du Val."""
     if f4.degree != 4 or f6.degree != 6:
         raise ValueError("a short-Weierstrass pair has degrees 4 and 6")
-    cube, square = f4**3, f6**2
-    delta = _discriminant_from_parts(cube, square)
+    # the integral model (u^4 f4, u^6 f6) has discriminant u^12 delta, the
+    # same j and the same split
+    u = math.lcm(*(c.denominator for c in f4.coefficients + f6.coefficients))
+    int4, int6 = _cleared(f4, u, 4), _cleared(f6, u, 6)
+    cube, square = int4**3, int6**2
+    int_delta = _discriminant_from_parts(cube, square)
+    if u == 1:
+        delta = int_delta
+    else:
+        scale = u**12
+        delta = BinaryForm.from_coefficients(
+            12, (Fraction(c, scale) for c in int_delta.coefficients))
     wd = WeierstrassData(f4=f4, f6=f6, delta=delta, j=_j_from_parts(cube, square))
-    for poly, v4, v6, _ in wd.split:
+    # cached_property keeps wd.split in the instance dict: fill it with the
+    # split of the integral model
+    wd.__dict__["split"] = split = _split(int4, int6, int_delta)
+    for poly, v4, v6, _ in split:
         if v4 >= 4 and v6 >= 6:
             raise NonMinimalError(f"non-minimal place at {poly}: not du Val", place=poly)
     return wd
@@ -204,7 +231,13 @@ def reduce_to_short(sextic: GeneralSextic) -> WeierstrassData:
         raise MissingCubeTermError(
             "not in del Pezzo normal form: no z^3 term"
         )
-    a, b = sextic.c_w2, -sextic.c_z3
+    # Scaling the sextic by den, the lcm of its denominators, makes every
+    # coefficient an int and divides f4 by den^4 and f6 by den^6.
+    slots = (sextic.c_wz, sextic.c_w, sextic.c_z2, sextic.c_z, sextic.c_0)
+    den = math.lcm(sextic.c_w2.denominator, sextic.c_z3.denominator,
+                   *(c.denominator for f in slots for c in f.coefficients))
+    a, b = (c.numerator * (den // c.denominator) for c in (sextic.c_w2, -sextic.c_z3))
+    c_wz, c_w, c_z2, c_z, c_0 = (_cleared(f, den, 1) for f in slots)
     ab = a * b
     # Times 4a the sextic reads
     #   (2a w + c_wz z + c_w)^2 = 4ab z^3 - p z^2 - 2q z - r.
@@ -212,10 +245,20 @@ def reduce_to_short(sextic: GeneralSextic) -> WeierstrassData:
     # b4 = -q/(ab)^3, b6 = -r/(ab)^4, and depressing the cubic gives
     # f4 = -c4/48, f6 = -c6/864 with c4 = b2^2 - 24 b4 and
     # c6 = -b2^3 + 36 b2 b4 - 216 b6 (Silverman, AEC III.1).  Clearing the
-    # powers of ab leaves one division per form.
-    p = 4 * a * sextic.c_z2 - sextic.c_wz * sextic.c_wz
-    q = 2 * a * sextic.c_z - sextic.c_wz * sextic.c_w
-    r = 4 * a * sextic.c_0 - sextic.c_w * sextic.c_w
-    f4 = (p * p + 24 * ab * q) * Fraction(-1, 48 * ab**4)
-    f6 = (p * p * p + 36 * ab * p * q + 216 * ab**2 * r) * Fraction(-1, 864 * ab**6)
+    # powers of ab leaves int forms and one division per form, which also
+    # undoes the scaling by den.
+    p = 4 * a * c_z2 - c_wz * c_wz
+    q = 2 * a * c_z - c_wz * c_w
+    r = 4 * a * c_0 - c_w * c_w
+    f4 = (p * p + 24 * ab * q) * Fraction(-den**4, 48 * ab**4)
+    f6 = (p * p * p + 36 * ab * p * q + 216 * ab**2 * r) * Fraction(-den**6, 864 * ab**6)
     return weierstrass_data(f4, f6)
+
+
+def _cleared(f: BinaryForm, u: int, k: int) -> BinaryForm:
+    """u^k f as an int form, for a form whose denominators divide u."""
+    if u == 1:
+        return f
+    scale = u**k
+    return BinaryForm(f.degree, tuple(c.numerator * (scale // c.denominator)
+                                      for c in f.coefficients))

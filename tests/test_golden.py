@@ -6,8 +6,8 @@ transformed-unique lines), generic-dense lines whose places have degree
 >= 2, and a few syntax errors.  ``classify --json`` and text mode must print
 exactly the stored stdout and stderr bytes and exit with the stored code.
 The same holds for ``catalog --verify``, ``tables``, every ``enumerate``
-mode and three ``--f4/--f6`` pairs (minimal, non-minimal, a syntax error),
-each in text and JSON.
+mode and four ``--f4/--f6`` pairs (minimal, non-minimal, a syntax error and
+one with non-integral coefficients), each in text and JSON.
 
 After a deliberate change of the output, rewrite the expected files with
 
@@ -29,6 +29,7 @@ PAIRS = {
     "minimal": ["--f4=-3*x^3*(x+4*y)", "--f6=2*x^4*(x^2+6*x*y+6*y^2)"],
     "non-minimal": ["--f4=(2*x-3*y)^4", "--f6=-(2*x-3*y)^6"],
     "syntax": ["--f4=x^4 +", "--f6=y^6"],
+    "rational": ["--f4=-3/4*x^3*(x+4/5*y)", "--f6=1/6*x^4*(x^2+6*x*y+3/2*y^2)"],
 }
 COMMANDS = {
     "catalog-verify": ["catalog", "--verify"],

@@ -1,6 +1,8 @@
 """Parsing of equations over P(1,1,2,3) and of plain binary forms."""
 
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -163,3 +165,76 @@ def test_monomial_weighted_degree_check_is_per_monomial():
 def test_rational_scaling_of_w2():
     s = parse_sextic("3/4*w^2 + z^3 + x^6")
     assert s.c_w2 == Fraction(3, 4)
+
+
+# -- differential check against sympy ---------------------------------------------
+
+
+def _literal(rng):
+    n = rng.randint(0, 9)
+    return f"{n}/{rng.randint(1, 6)}" if rng.random() < 0.4 else str(n)
+
+
+def _single_term(rng):
+    powers = [f"{v}^{rng.randint(1, 2)}" for v in rng.sample("xyzw", rng.randint(1, 2))]
+    return "*".join([_literal(rng)] * (rng.random() < 0.7) + powers)
+
+
+def _random_expression(rng, depth, kinds):
+    """A random expression text; kinds counts the constructions used."""
+    if depth == 0:
+        return rng.choice((_literal(rng), rng.choice("xyzw"), _single_term(rng)))
+    kind = rng.choice(("sum", "sum", "product", "power of a term", "power of a sum",
+                       "unary minus", "nested parentheses", "cancelling sum"))
+    kinds[kind] += 1
+
+    def sub():
+        return _random_expression(rng, depth - 1, kinds)
+
+    if kind == "sum":
+        text = sub()
+        for _ in range(rng.randint(1, 3)):
+            text += rng.choice((" + ", " - ")) + sub()
+        return text
+    if kind == "product":
+        return f"({sub()})*({sub()})"
+    if kind == "power of a term":
+        return f"({_single_term(rng)})^{rng.randint(0, 3)}"
+    if kind == "power of a sum":
+        return f"({sub()} + {sub()})^{rng.randint(0, 3)}"
+    if kind == "unary minus":
+        return f"-({sub()})" if rng.random() < 0.5 else f"-{_single_term(rng)}"
+    if kind == "nested parentheses":
+        return f"(({sub()}) - (-({sub()})))"
+    text = sub()  # a cancelling sum: nothing of text is left
+    return f"{text} + {sub()} - ({text})" if rng.random() < 0.5 else f"({text}) - ({text})"
+
+
+def test_parser_matches_sympy_expand():
+    import sympy
+
+    symbols = sympy.symbols("x y z w")
+    rng = random.Random(20261018)
+    kinds, checked, zero = Counter(), 0, 0
+    for _ in range(400):
+        text = _random_expression(rng, rng.randint(1, 3), kinds)
+        try:
+            terms = parse_polynomial(text).terms
+        except NotHomogeneousError:  # a product or power above the degree limit
+            continue
+        expected = sympy.Poly(sympy.expand(sympy.sympify(text.replace("^", "**"))),
+                              *symbols).as_dict()
+        assert terms == {m: Fraction(int(c.p), int(c.q)) for m, c in expected.items()}, text
+        assert {m: type(c) for m, c in terms.items()} == {
+            m: int if c.is_Integer else Fraction for m, c in expected.items()}, text
+        checked += 1
+        zero += not terms
+    assert checked >= 300 and zero >= 20, (checked, zero)
+    assert min(kinds.values()) >= 50 and len(kinds) == 7, kinds
+
+
+def test_a_cancelled_monomial_that_comes_back_is_collected_last():
+    # the first monomial of a wrong degree, in the order of the sum, is named
+    assert list(parse_polynomial("x - x + y + x").terms) == [(0, 1, 0, 0), (1, 0, 0, 0)]
+    with pytest.raises(NotHomogeneousError, match="monomial y has"):
+        parse_sextic("w^2 + z^3 + x - x + y + x")

@@ -1,5 +1,6 @@
 """Reduction to short form, discriminant, j-invariant, cube test, validation."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -12,6 +13,7 @@ from test_kodaira import structured_pair
 
 from delpezzo import weierstrass
 from delpezzo.errors import (
+    InvalidSurfaceError,
     MissingCubeTermError,
     MissingSquareTermError,
     NonMinimalError,
@@ -20,6 +22,7 @@ from delpezzo.errors import (
 from delpezzo.catalog import witness_catalog
 from delpezzo.forms import BinaryForm
 from delpezzo.kodaira import classify_fibration
+from perfbench import workloads
 from delpezzo.sextic import (
     GeneralSextic,
     Poly,
@@ -29,6 +32,7 @@ from delpezzo.sextic import (
 )
 from delpezzo.weierstrass import (
     JInvariant,
+    WeierstrassData,
     cube_test,
     discriminant,
     j_invariant,
@@ -429,3 +433,80 @@ def test_j_matches_ratio_reference():
         assert got == expected and type(got.value) is type(expected.value)
         kinds[expected.value if expected.value in (0, 1728, None) else "other"] += 1
     assert all(kinds[k] >= 5 for k in (0, 1728, None, "other")), kinds
+
+
+# -- the integral model --------------------------------------------------------------------
+
+
+def _outcome(f4, f6):
+    """weierstrass_data(f4, f6), or the type, message and place of its error."""
+    try:
+        return weierstrass_data(f4, f6)
+    except InvalidSurfaceError as error:
+        return type(error), str(error), getattr(error, "place", None)
+
+
+def test_weierstrass_data_is_invariant_under_rational_scaling():
+    rng = random.Random(20261018)
+    pairs = [structured_pair(rng) for _ in range(300)]
+    for _ in range(20):  # 4 f4^3 + 27 f6^2 = 0, also with f4 = f6 = 0
+        t = BinaryForm.from_coefficients(2, [rng.randint(-2, 2) for _ in range(3)])
+        pairs.append((-3 * t**2, 2 * t**3))
+    outcomes = Counter()
+    for f4, f6 in pairs:
+        u = Fraction(rng.choice((1, -1)) * rng.randint(1, 30), rng.randint(1, 30))
+        g4, g6 = f4 * u**4, f6 * u**6
+        base, scaled = _outcome(f4, f6), _outcome(g4, g6)
+        if not isinstance(base, WeierstrassData):
+            assert scaled == base
+            outcomes[base[0].__name__] += 1
+            continue
+        assert scaled.f4 is g4 and scaled.f6 is g6
+        assert scaled.split == base.split
+        assert scaled.j == base.j and type(scaled.j.value) is type(base.j.value)
+        assert _typed(scaled.delta) == _typed(-16 * (4 * g4**3 + 27 * g6**2))
+        integral = all(isinstance(c, int) for c in g4.coefficients + g6.coefficients)
+        outcomes["integral" if integral else "fractional"] += 1
+    assert min(outcomes[k] for k in ("integral", "fractional", "NonMinimalError",
+                                     "ZeroDiscriminantError")) >= 10, outcomes
+
+
+def _int_form(form: BinaryForm) -> bool:
+    return all(type(c) is int for c in form.coefficients)
+
+
+def test_reduction_and_split_run_on_ints(monkeypatch):
+    lines = [w.equation for w in witness_catalog()]
+    lines += [c.text for c in itertools.islice(workloads.transformed_cases(29), 100)]
+    built, reached, fractional = [], Counter(), 0
+    post_init = BinaryForm.__post_init__
+
+    def recorded(name, original):
+        def call(*forms):
+            reached[name] += 1
+            assert all(_int_form(f) for f in forms), (name, text)
+            return original(*forms)
+        return call
+
+    for text in lines:
+        sextic = parse_sextic(text)
+        with monkeypatch.context() as patch:
+            patch.setattr(BinaryForm, "__post_init__",
+                          lambda form: (built.append(form), post_init(form))[1])
+            patch.setattr(weierstrass, "weierstrass_data", lambda f4, f6: (f4, f6))
+            try:
+                f4, f6 = reduce_to_short(sextic)
+            except InvalidSurfaceError:  # no w^2 or no z^3 term
+                continue
+        # every form reduce_to_short builds before its two divisions is an int form
+        assert all(_int_form(f) for f in built if f is not f4 and f is not f6), text
+        built.clear()
+        fractional += not (_int_form(f4) and _int_form(f6))
+        with monkeypatch.context() as patch:
+            for name in ("_discriminant_from_parts", "_j_from_parts", "_split"):
+                patch.setattr(weierstrass, name, recorded(name, getattr(weierstrass, name)))
+            try:
+                weierstrass_data(f4, f6)
+            except InvalidSurfaceError:
+                pass
+    assert fractional >= 30 and reached["_split"] >= 90, (fractional, reached)
