@@ -4,7 +4,9 @@ The input language covers expressions and equations ``LHS = RHS`` over the
 variables x, y, z, w with integer and fraction literals (``p/q``, ``q`` not
 zero), the operators ``+ - * ^``, unary minus and parentheses.  ``^`` binds
 tighter than ``*``, which binds tighter than ``+``/``-``; there is no
-implicit multiplication.  An expression without ``=`` is read as ``... = 0``.
+implicit multiplication.  An exponent is a non-negative integer literal:
+``x^(2)``, ``x^-1`` and ``x^4/2`` are rejected.  An expression without ``=``
+is read as ``... = 0``.
 
 The parsed polynomial is fully expanded and collected; every monomial must
 have weighted degree exactly 6 under the weights (x, y, z, w) = (1, 1, 2, 3).
@@ -12,9 +14,20 @@ Products and powers above weighted degree ``MAX_WEIGHTED_DEGREE``, and powers
 of numbers above ``MAX_POWER_BITS`` bits, are rejected before they are
 expanded.
 
+The text is tokenized once, by one compiled regex, and read on one of two
+paths.  A flat sum of monomial terms ``[+-][p[/q]*]v[^k]*...``, the shape of
+a fully expanded expression, is read by a single walk over the tokens that
+sums the integer numerators over one common denominator.  Anything else
+(parentheses, ``=``, unary minus after an operator, a number after ``*``, a
+constant term, a term above the degree limit, any error) goes to the
+recursive descent parser on the same tokens, so errors and their positions
+are always the parser's.  Both paths give the same terms in the same order.
+
 The parser expands as it reads.  A sum accumulates its terms in place in
 one dict, a product with a single term shifts the monomials of the other
-factor in one pass, and a power of a single term is one monomial.
+factor in one pass, and a power of a single term is one monomial.  Each
+intermediate carries its weighted degree, so the degree limit costs no pass
+over its terms (only a sum in which a monomial cancels is measured again).
 
 Coefficients follow the rule of :mod:`delpezzo.forms`: an ``int`` when the
 value is integral, a ``Fraction`` only when it is not, never a float.  An
@@ -25,6 +38,8 @@ returns, so an integral value reached through ``p/q`` is an ``int`` there.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,87 +53,101 @@ Monomial = tuple[int, int, int, int]  # exponents of x, y, z, w
 
 # -- tokenizer -----------------------------------------------------------------
 
-_OPERATORS = set("+-*^()=")
+# One match per token, after any whitespace: an operator, a number literal with
+# an optional "/denominator", a word, or any other character, which is an
+# error.  For str patterns \s, \d and \w are exactly str.isspace,
+# str.isdecimal (the digits int() reads) and str.isalnum-or-"_"; a word must
+# also start with a letter (str.isalpha), which \w alone does not say.  Only
+# trailing whitespace matches nothing, so the matches tile the text and a
+# token's position is the running length of the text before it.
+_TOKEN = re.compile(r"(\s*)(?:([-+*^()=])|(\d+)(?:/(\d+))?|(\w+)|(\S))")
+
+# (kind, value, position); kind is "num", "name", "end" or the operator
+# character, value the number or the variable name (None otherwise)
+_Token = tuple[str, object, int]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num", "name", or the operator character
-    value: int | Fraction | str | None
-    pos: int
-
-
-def _int_literal(text: str, start: int, end: int) -> int:
-    try:
-        return int(text[start:end])
-    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        raise EquationError(f"number literal too long ({end - start} digits)", start) from None
+def _too_long(digits: str, start: int) -> EquationError:
+    # int() refuses more digits than sys.get_int_max_str_digits() allows
+    return EquationError(f"number literal too long ({len(digits)} digits)", start)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPERATORS:
-            tokens.append(_Token(ch, None, i))
-            i += 1
-            continue
-        if ch.isdecimal():  # the digits int() accepts; str.isdigit takes more
-            start = i
-            while i < n and text[i].isdecimal():
-                i += 1
-            value = _int_literal(text, start, i)
-            if i < n and text[i] == "/" and i + 1 < n and text[i + 1].isdecimal():
-                i += 1
-                dstart = i
-                while i < n and text[i].isdecimal():
-                    i += 1
-                denominator = _int_literal(text, dstart, i)
-                if not denominator:
+    append = tokens.append
+    pos = 0
+    for space, op, digits, denominator, word, other in _TOKEN.findall(text):
+        if space:
+            pos += len(space)
+        if op:
+            append((op, None, pos))
+            pos += 1
+        elif digits:
+            try:
+                value = int(digits)
+            except ValueError:
+                raise _too_long(digits, pos) from None
+            if denominator:
+                dstart = pos + len(digits) + 1
+                try:
+                    divisor = int(denominator)
+                except ValueError:
+                    raise _too_long(denominator, dstart) from None
+                if not divisor:
                     raise EquationError("zero denominator", dstart)
-                value = Fraction(value, denominator)
-            tokens.append(_Token("num", value, start))
-            continue
-        if ch.isalpha():
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            name = text[start:i]
-            if name not in WEIGHTS:
-                raise UnknownVariableError(f"unknown variable '{name}'", start)
-            tokens.append(_Token("name", name, start))
-            continue
-        raise EquationError(f"unexpected character '{ch}'", i)
-    tokens.append(_Token("end", None, n))
+                append(("num", Fraction(value, divisor), pos))
+                pos = dstart + len(denominator)
+            else:
+                append(("num", value, pos))
+                pos += len(digits)
+        elif word:
+            if word not in WEIGHTS:
+                if word[0].isalpha():
+                    raise UnknownVariableError(f"unknown variable '{word}'", pos)
+                raise EquationError(f"unexpected character '{word[0]}'", pos)
+            append(("name", word, pos))
+            pos += len(word)
+        else:
+            raise EquationError(f"unexpected character '{other}'", pos)
+    append(("end", None, len(text)))
     return tokens
 
 
 # -- expanded polynomials --------------------------------------------------------
 
 
-class Poly:
-    """Expanded polynomial in x, y, z, w as a dict monomial -> coefficient."""
+def _weighted_degree(m: Monomial) -> int:
+    return m[0] + m[1] + 2 * m[2] + 3 * m[3]
 
-    __slots__ = ("terms",)
+
+class Poly:
+    """Expanded polynomial in x, y, z, w as a dict monomial -> coefficient.
+
+    The weighted degree (the largest over the terms, 0 for zero) is carried
+    along: a product adds the degrees of its factors, a power multiplies,
+    and a sum takes the larger one unless a monomial cancels, when it is
+    computed again on first use."""
+
+    __slots__ = ("terms", "_degree")
 
     def __init__(self, terms: dict[Monomial, int | Fraction] | None = None):
         self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
+        self._degree: int | None = None
 
     @staticmethod
-    def _nonzero(terms: dict[Monomial, int | Fraction]) -> "Poly":
-        """A Poly of terms that are known to be nonzero, without a copy."""
+    def _nonzero(terms: dict[Monomial, int | Fraction], degree: int | None = None) -> "Poly":
+        """A Poly of terms that are known to be nonzero, without a copy;
+        ``degree``, when given, is their weighted degree."""
         poly = Poly.__new__(Poly)
         poly.terms = terms
+        poly._degree = degree
         return poly
 
     def _accumulate(self, other: "Poly", negate: bool) -> None:
         """self += other (self -= other when negate), in place; a monomial
         that cancels leaves the dict, as in a new sum."""
         terms = self.terms
+        cancelled = False
         for m, c in other.terms.items():
             old = terms.get(m)
             if old is None:
@@ -127,31 +156,40 @@ class Poly:
                 terms[m] = c
             else:
                 del terms[m]
+                cancelled = True
+        if cancelled or self._degree is None or other._degree is None:
+            self._degree = None
+        elif other._degree > self._degree:
+            self._degree = other._degree
 
     @staticmethod
     def constant(value: int | Fraction) -> "Poly":
-        return Poly({(0, 0, 0, 0): value} if value else {})
+        return Poly._nonzero({(0, 0, 0, 0): value} if value else {}, 0)
 
     @staticmethod
     def variable(name: str) -> "Poly":
         exps = [0, 0, 0, 0]
         exps["xyzw".index(name)] = 1
-        return Poly({tuple(exps): 1})
+        return Poly._nonzero({tuple(exps): 1}, WEIGHTS[name])
 
     def __add__(self, other: "Poly") -> "Poly":
-        result = Poly._nonzero(dict(self.terms))
+        result = Poly._nonzero(dict(self.terms), self._degree)
         result._accumulate(other, negate=False)
         return result
 
     def __sub__(self, other: "Poly") -> "Poly":
-        result = Poly._nonzero(dict(self.terms))
+        result = Poly._nonzero(dict(self.terms), self._degree)
         result._accumulate(other, negate=True)
         return result
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._nonzero({m: -c for m, c in self.terms.items()}, self._degree)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        # the top homogeneous parts of two nonzero factors have a nonzero
+        # product, so the degrees add
+        degree = (self.weighted_degree + other.weighted_degree
+                  if self.terms and other.terms else 0)
         if len(other.terms) == 1:
             self, other = other, self
         if len(self.terms) == 1:  # one term: shift the monomials, no sums
@@ -159,18 +197,19 @@ class Poly:
             return Poly._nonzero({
                 (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3]): c1 * c2
                 for m2, c2 in other.terms.items()
-            })
+            }, degree)
         terms: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
                 terms[m] = terms.get(m, 0) + c1 * c2
-        return Poly(terms)
+        return Poly._nonzero({m: c for m, c in terms.items() if c}, degree)
 
     def __pow__(self, exponent: int) -> "Poly":
         if len(self.terms) == 1 and exponent:
             ((m, c),) = self.terms.items()
-            return Poly._nonzero({tuple(e * exponent for e in m): c**exponent})
+            return Poly._nonzero({tuple(e * exponent for e in m): c**exponent},
+                                 self.weighted_degree * exponent)
         result = Poly.constant(1)
         base = self
         while exponent:
@@ -183,8 +222,9 @@ class Poly:
 
     @property
     def weighted_degree(self) -> int:
-        return max((dx + dy + 2 * dz + 3 * dw for dx, dy, dz, dw in self.terms),
-                   default=0)
+        if self._degree is None:
+            self._degree = max(map(_weighted_degree, self.terms), default=0)
+        return self._degree
 
 
 # -- recursive descent parser ----------------------------------------------------
@@ -208,12 +248,13 @@ def _check_degree(degree: int, pos: int) -> None:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
         self.index = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.index][0]
 
     def advance(self) -> _Token:
         token = self.tokens[self.index]
@@ -221,64 +262,63 @@ class _Parser:
         return token
 
     def expect(self, kind: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
+        found, _, pos = self.tokens[self.index]
+        if found != kind:
             raise EquationError(
                 f"expected '{kind}', found "
-                f"{'end of input' if token.kind == 'end' else repr(token.kind)}",
-                token.pos,
+                f"{'end of input' if found == 'end' else repr(found)}",
+                pos,
             )
         return self.advance()
 
     def parse_equation(self) -> Poly:
         lhs = self.parse_expression()
-        if self.peek().kind == "=":
+        if self.peek() == "=":
             self.advance()
             lhs._accumulate(self.parse_expression(), negate=True)
-        end = self.peek()
-        if end.kind != "end":
-            raise EquationError(f"unexpected '{end.kind}'", end.pos)
+        kind, _, pos = self.tokens[self.index]
+        if kind != "end":
+            raise EquationError(f"unexpected '{kind}'", pos)
         return lhs
 
     def parse_expression(self) -> Poly:
         value = self.parse_term()  # a new Poly, which the sum may take over
-        while self.peek().kind in "+-":
-            negate = self.advance().kind == "-"
+        while self.peek() in "+-":
+            negate = self.advance()[0] == "-"
             value._accumulate(self.parse_term(), negate)
         return value
 
     def parse_term(self) -> Poly:
         value = self.parse_unary()
-        while self.peek().kind == "*":
-            pos = self.advance().pos
+        while self.peek() == "*":
+            pos = self.advance()[2]
             rhs = self.parse_unary()
             _check_degree(value.weighted_degree + rhs.weighted_degree, pos)
             value = value * rhs
         return value
 
     def parse_unary(self) -> Poly:
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.advance()
             return -self.parse_unary()
-        if self.peek().kind == "+":
+        if self.peek() == "+":
             self.advance()
             return self.parse_unary()
         return self.parse_power()
 
     def parse_power(self) -> Poly:
         base = self.parse_atom()
-        if self.peek().kind != "^":
+        if self.peek() != "^":
             return base
         self.advance()
-        token = self.peek()
-        if token.kind != "num" or token.value.denominator != 1:
-            raise EquationError("exponent must be a non-negative integer", token.pos)
-        self.advance()
-        if self.peek().kind == "^":
-            raise EquationError("chained '^' needs parentheses", self.peek().pos)
-        exponent = int(token.value)
+        kind, exponent, pos = self.advance()
+        # an int literal; p/q is no exponent, even where it is integral
+        if kind != "num" or type(exponent) is not int:
+            raise EquationError("exponent must be a non-negative integer", pos)
+        if self.peek() == "^":
+            raise EquationError("chained '^' needs parentheses", self.tokens[self.index][2])
         degree = base.weighted_degree
-        _check_degree(degree * exponent, token.pos)
+        _check_degree(degree * exponent, pos)
         if not degree:  # a number: the degree limit does not bound its size
             # 0, 1 and -1 never grow; any other p/q grows by at least one and
             # at most twice this many bits per factor
@@ -288,40 +328,124 @@ class _Parser:
             if bits > MAX_POWER_BITS:
                 raise EquationError(
                     f"a power of {bits} bits exceeds the limit {MAX_POWER_BITS}",
-                    token.pos,
+                    pos,
                 )
         return base**exponent
 
     def parse_atom(self) -> Poly:
-        token = self.peek()
-        if token.kind == "num":
+        kind, value, pos = self.tokens[self.index]
+        if kind == "num":
             self.advance()
-            return Poly.constant(token.value)
-        if token.kind == "name":
+            return Poly.constant(value)
+        if kind == "name":
             self.advance()
-            return Poly.variable(token.value)
-        if token.kind == "(":
+            return Poly.variable(value)
+        if kind == "(":
             self.advance()
             inner = self.parse_expression()
             self.expect(")")
             return inner
         raise EquationError(
             "expected a number, variable or '('"
-            + ("" if token.kind == "end" else f", found '{token.kind}'"),
-            token.pos,
+            + ("" if kind == "end" else f", found '{kind}'"),
+            pos,
         )
+
+
+# -- flat sums ----------------------------------------------------------------------
+
+_FACTOR = {name: ("xyzw".index(name), weight) for name, weight in WEIGHTS.items()}
+
+
+def _flat_sum(tokens: list[_Token]) -> dict[Monomial, int | Fraction] | None:
+    """The terms of a flat sum ``[+-][p[/q]*]v[^k]*... +- ...``, exactly as
+    the parser collects them (order, cancellations and number types
+    included), or None for any other token list.
+
+    Each term has one sign at most (the first may have none), one number at
+    most, before its first variable, and plain int exponents; a term above
+    MAX_WEIGHTED_DEGREE is also left to the parser, which reports it."""
+    collected: list[tuple[Monomial, int | Fraction]] = []
+    denominator = 1
+    index = 0
+    kind, value, _ = tokens[0]
+    while True:
+        negative = kind == "-"  # every term but the first starts with a sign
+        if negative or kind == "+":
+            index += 1
+            kind, value, _ = tokens[index]
+        coefficient = 1
+        if kind == "num":
+            coefficient = value
+            if tokens[index + 1][0] != "*":
+                return None
+            index += 2
+            kind, value, _ = tokens[index]
+        exponents = [0, 0, 0, 0]
+        degree = 0
+        while kind == "name":
+            slot, weight = _FACTOR[value]
+            index += 1
+            kind, value, _ = tokens[index]
+            power = 1
+            if kind == "^":
+                kind, power, _ = tokens[index + 1]
+                if kind != "num" or type(power) is not int:
+                    return None
+                index += 2
+                kind, value, _ = tokens[index]
+            exponents[slot] += power
+            degree += weight * power
+            if degree > MAX_WEIGHTED_DEGREE:
+                return None
+            if kind != "*":
+                break
+            index += 1
+            kind, value, _ = tokens[index]
+        else:  # a term without a variable, or a number or '(' after '*'
+            return None
+        if type(coefficient) is not int:
+            denominator = math.lcm(denominator, coefficient.denominator)
+        collected.append((tuple(exponents), -coefficient if negative else coefficient))
+        if kind == "end":
+            break
+        if kind != "+" and kind != "-":
+            return None
+    # sum the numerators over the common denominator, in the parser's order
+    terms: dict[Monomial, int | Fraction] = {}
+    for monomial, c in collected:
+        if type(c) is int:
+            c *= denominator
+        else:
+            c = c.numerator * (denominator // c.denominator)
+        old = terms.get(monomial)
+        if old is None:
+            if c:
+                terms[monomial] = c
+        elif (c := old + c):
+            terms[monomial] = c
+        else:
+            del terms[monomial]
+    if denominator != 1:
+        for monomial, c in terms.items():
+            terms[monomial] = (c // denominator if not c % denominator
+                               else Fraction(c, denominator))
+    return terms
 
 
 def parse_polynomial(text: str) -> Poly:
     """Parse to an expanded polynomial in x, y, z, w (no degree checks)."""
     if not text.strip():
         raise EquationError("empty input", 0)
-    try:
-        poly = _Parser(text).parse_equation()
-    except RecursionError:
-        raise EquationError("expression nested too deeply") from None
-    poly.terms = {m: _exact(c) for m, c in poly.terms.items()}
-    return poly
+    tokens = _tokenize(text)
+    terms = _flat_sum(tokens)
+    if terms is None:
+        try:
+            poly = _Parser(tokens).parse_equation()
+        except RecursionError:
+            raise EquationError("expression nested too deeply") from None
+        terms = {m: _exact(c) for m, c in poly.terms.items()}
+    return Poly._nonzero(terms)
 
 
 # -- the general sextic ------------------------------------------------------------
@@ -375,7 +499,7 @@ def sextic_from_polynomial(poly: Poly) -> GeneralSextic:
     }
     for m, c in poly.terms.items():
         dx, dy, dz, dw = m
-        weighted = dx + dy + 2 * dz + 3 * dw
+        weighted = _weighted_degree(m)
         if weighted != 6:
             raise NotHomogeneousError(
                 f"monomial {_monomial_str(m)} has weighted degree {weighted}, not 6"

@@ -1,12 +1,16 @@
 """Parsing of equations over P(1,1,2,3) and of plain binary forms."""
 
+import itertools
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import char_tokenizer
+from delpezzo import sextic
 from delpezzo.catalog import witness_catalog
 from delpezzo.errors import (
     EquationError,
@@ -14,7 +18,8 @@ from delpezzo.errors import (
     UnknownVariableError,
 )
 from delpezzo.forms import BinaryForm
-from delpezzo.sextic import parse_binary_form, parse_polynomial, parse_sextic
+from delpezzo.sextic import Poly, parse_binary_form, parse_polynomial, parse_sextic
+from perfbench import gen
 
 
 def form(text, degree):
@@ -238,3 +243,136 @@ def test_a_cancelled_monomial_that_comes_back_is_collected_last():
     assert list(parse_polynomial("x - x + y + x").terms) == [(0, 1, 0, 0), (1, 0, 0, 0)]
     with pytest.raises(NotHomogeneousError, match="monomial y has"):
         parse_sextic("w^2 + z^3 + x - x + y + x")
+
+
+def test_a_fraction_exponent_is_rejected_even_when_integral():
+    # an exponent is an integer literal, as x^(2) already shows; 12/2 and 4/1
+    # are integral fractions, not integer literals
+    for text, position in (("w^2 + z^3 + x^5*y + x^12/2", 22), ("x^4/1*y^2", 2),
+                           ("(x + y)^4/2", 8)):
+        with pytest.raises(EquationError, match="exponent must be a non-negative integer") as info:
+            parse_polynomial(text)
+        assert info.value.position == position, text
+
+
+# -- the flat-sum fast path against the recursive parser ------------------------------
+
+
+def _outcome(parse, text):
+    """The terms (or tokens) with their number types, in order, or the error
+    raised."""
+    try:
+        result = parse(text)
+    except EquationError as exc:
+        return type(exc), str(exc), exc.position
+    if isinstance(result, Poly):
+        return [(m, type(c), c) for m, c in result.terms.items()]
+    return [(kind, type(value), value, pos) for kind, value, pos in result]
+
+
+def _recursive_only(monkeypatch, parse, texts):
+    """Outcomes of ``parse`` with the flat-sum walker switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sextic, "_flat_sum", lambda tokens: None)
+        return [_outcome(parse, text) for text in texts]
+
+
+def _counting_flat_sum(monkeypatch):
+    """Patch in a walker that counts the token lists it accepted."""
+    walker, hits = sextic._flat_sum, []
+
+    def counted(tokens):
+        terms = walker(tokens)
+        hits.append(terms is not None)
+        return terms
+
+    monkeypatch.setattr(sextic, "_flat_sum", counted)
+    return hits
+
+
+def _benchmark_lines(transformed, dense):
+    witnesses = [(w.name, w.equation) for w in witness_catalog()]
+    return ([g.text for g in itertools.islice(gen.transformed_stream(7, witnesses), transformed)]
+            + [g.text for g in itertools.islice(gen.dense_stream(7), dense)])
+
+
+_GOLDEN_INPUTS = [line for line in
+                  (Path(__file__).parent / "golden" / "inputs.txt").read_text().splitlines()
+                  if line.strip()]
+
+# the alphabet of the grammar, and characters where str.isdecimal/isalpha and
+# the regex classes \d/\w could part: a superscript, a vulgar fraction, an
+# Arabic-Indic digit, an accented letter and a no-break space
+_MUTATION_ALPHABET = "xyzw0123456789+-*^()=/ _.\t" + "\u00b2\u00bd\u0663\u00e9\u00a0"
+
+
+def _mutant(rng, line):
+    chars = list(line)
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(3)
+        if edit == 0 and chars:
+            del chars[rng.randrange(len(chars))]
+        elif edit == 1 or not chars:
+            chars.insert(rng.randrange(len(chars) + 1), rng.choice(_MUTATION_ALPHABET))
+        else:
+            i = rng.randrange(len(chars))
+            chars.insert(i, chars[i])
+    return "".join(chars)
+
+
+def test_mutants_parse_alike_on_both_paths_and_tokenize_as_before(monkeypatch):
+    rng = random.Random(20261018)
+    lines = _GOLDEN_INPUTS + _benchmark_lines(24, 8)
+    mutants = [_mutant(rng, line) for line in lines for _ in range(40)]
+    expected = _recursive_only(monkeypatch, parse_polynomial, mutants)
+    hits = _counting_flat_sum(monkeypatch)
+    for text, want in zip(mutants, expected):
+        assert _outcome(parse_polynomial, text) == want, text
+        assert _outcome(sextic._tokenize, text) == _outcome(char_tokenizer.tokenize, text), text
+    # both paths and every error kind are exercised
+    outcomes = Counter(want[0] if isinstance(want, tuple) else "terms" for want in expected)
+    assert sum(hits) >= 450 and len(hits) - sum(hits) >= 1500, (sum(hits), len(hits))
+    assert outcomes["terms"] >= 600 and len(outcomes) == 4, outcomes
+
+
+@pytest.mark.parametrize("text", [
+    "2x", "xx^5", "3*-x^4*z", "x + -y", "2*3*x^6", "x^13", "1 /2*x^6",
+    "w^2 + z^3 + " + "7" * 4301 + "*x^6", "x - x + y + x", "w^2 = z^3 + x^5*y",
+    "x^2^3", "x^0*y^6 + 0*x^6 - 0/5*z^3", "(x^7 - x^7)*x^6", "x^7*x^6*0", "-x + -1/2*y",
+])
+def test_the_fast_path_hands_over_what_it_does_not_read(monkeypatch, text):
+    (want,) = _recursive_only(monkeypatch, parse_polynomial, [text])
+    assert _outcome(parse_polynomial, text) == want
+
+
+def test_the_fast_path_reads_flat_sums_and_nothing_else():
+    def walk(text):
+        return sextic._flat_sum(sextic._tokenize(text))
+
+    assert list(walk("x - x + y + x").items()) == [((0, 1, 0, 0), 1), ((1, 0, 0, 0), 1)]
+    assert walk("-3/4*x^5*y + 1/4*x*y^5 + x^5*y") == {
+        (5, 1, 0, 0): Fraction(1, 4), (1, 5, 0, 0): Fraction(1, 4)}
+    assert walk("2/4*w^2 - 1/2*w^2") == {}
+    for text in ("2x", "3*-x^4*z", "x + -y", "2*3*x^6", "x^13", "x^6*x^7", "w^2 = z^3",
+                 "(x)", "x^2^3", "x^(2)", "1 + x^6", "x^6 +", "x^12/2", "x^4/1*y^2"):
+        try:
+            assert walk(text) is None, text
+        except EquationError:
+            pass
+
+
+def test_benchmark_lines_take_the_fast_path(monkeypatch):
+    made = []
+
+    class CountingParser(sextic._Parser):
+        def __init__(self, tokens):
+            made.append(tokens)
+            super().__init__(tokens)
+
+    monkeypatch.setattr(sextic, "_Parser", CountingParser)
+    lines = _benchmark_lines(200, 100)
+    for text in lines:
+        parse_sextic(text)
+    assert not made
+    parse_sextic("w^2 + z^3 + x*(x^4*y)")  # the patch sees the parser when it runs
+    assert len(made) == 1
