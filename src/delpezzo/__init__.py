@@ -29,8 +29,6 @@ from .forms import (
     Factorization,
     factor_over_rationals,
     form_gcd,
-    squarefree_decomposition,
-    valuation,
 )
 from .kodaira import (
     FiberConfiguration,
@@ -57,9 +55,6 @@ from .surfaces import (
 from .weierstrass import (
     JInvariant,
     WeierstrassData,
-    cube_test,
-    discriminant,
-    j_invariant,
     reduce_to_short,
     weierstrass_data,
 )
@@ -87,10 +82,8 @@ __all__ = [
     "classify_surface",
     "classify_weierstrass",
     "configuration",
-    "cube_test",
     "decide_coregularity",
     "degree_rule",
-    "discriminant",
     "duval_configuration",
     "enumerate_instar_without_in",
     "enumerate_isotrivial",
@@ -98,7 +91,6 @@ __all__ = [
     "fiber_properties",
     "form_gcd",
     "is_miranda_excluded",
-    "j_invariant",
     "label_special",
     "miranda_exclusions",
     "moduli_dimension",
@@ -106,8 +98,6 @@ __all__ = [
     "parse_sextic",
     "picard_rank",
     "reduce_to_short",
-    "squarefree_decomposition",
-    "valuation",
     "weierstrass_data",
 ]
 

@@ -257,16 +257,6 @@ def verify_witness(witness: Witness) -> list[str]:
     return _mismatches(witness, report)
 
 
-def verify_catalog() -> dict[str, list[str]]:
-    """Verify every witness; maps witness name -> mismatches (only failures)."""
-    failures: dict[str, list[str]] = {}
-    for witness in witness_catalog():
-        problems = verify_witness(witness)
-        if problems:
-            failures[witness.name] = problems
-    return failures
-
-
 # -- reference tables ----------------------------------------------------------------
 
 

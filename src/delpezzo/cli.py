@@ -361,13 +361,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     command = {"classify": _cmd_classify, "enumerate": _cmd_enumerate,
                "catalog": _cmd_catalog, "tables": _cmd_tables}[args.command]
+    if sys.stdout is None:  # a closed stdout (``>&-``)
+        print("cannot write output: stdout is closed", file=sys.stderr)
+        return EXIT_USAGE
     try:
         code = command(args, sys.stdout, sys.stderr)
-        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
-    except BrokenPipeError:
-        # the reader left (``| head``); send what is still buffered to
-        # devnull so the flush at exit does not fail again
+        sys.stdout.flush()  # a write that fails at exit would end in a traceback
+    except OSError as exc:
+        # the reader left (``| head``, reported by silence) or the device is
+        # full; send what is still buffered to devnull so the flush at exit
+        # does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code
 

@@ -177,16 +177,10 @@ class BinaryForm:
 
     # -- normal forms ---------------------------------------------------------
 
-    def content_and_primitive(self) -> tuple[Fraction, "BinaryForm"]:
-        """Write self = content * primitive with integer coefficients, gcd 1,
-        positive leading coefficient (x-major).  Zero form is rejected."""
-        if self.is_zero:
-            raise ZeroFormError("the zero form has no primitive part")
-        k, u = _dehomogenize(self)
-        return Fraction(self.coefficients[k], u[-1]), _homogenize(k, u)
-
     def primitive_part(self) -> "BinaryForm":
-        return self.content_and_primitive()[1]
+        """self over its content: integer coefficients with gcd 1 and a
+        positive leading coefficient (x-major).  Zero form is rejected."""
+        return _homogenize(*_dehomogenize(self))
 
     def sort_key(self):
         return (self.degree, self.coefficients)
@@ -234,12 +228,6 @@ class Factorization:
 
     content: Fraction
     factors: tuple[tuple[BinaryForm, int], ...]
-
-    def expand(self) -> BinaryForm:
-        result = BinaryForm.constant(self.content)
-        for factor, mult in self.factors:
-            result = result * factor**mult
-        return result
 
     def __str__(self) -> str:
         if not self.factors:
@@ -593,25 +581,6 @@ def form_gcd(a: BinaryForm, b: BinaryForm) -> BinaryForm:
     return _homogenize(min(ka, kb), _u_gcd(ua, ub))
 
 
-def squarefree_decomposition(
-    f: BinaryForm,
-) -> tuple[Fraction, tuple[tuple[BinaryForm, int], ...]]:
-    """Split f = content * prod(g_i ** i) with each g_i squarefree, primitive,
-    and the g_i pairwise coprime.  Returns (content, ((g_i, i), ...))."""
-    if f.is_zero:
-        raise ZeroFormError("cannot decompose the zero form")
-    k, u = _dehomogenize(f)
-    by_mult: dict[int, BinaryForm] = {}
-    for part, mult in _u_squarefree_parts(u):
-        by_mult[mult] = _homogenize(0, part)
-    if k > 0:
-        by_mult[k] = by_mult[k] * Y_FORM if k in by_mult else Y_FORM
-    parts = tuple(sorted(((g, m) for m, g in by_mult.items()),
-                         key=lambda item: (item[1], item[0].sort_key())))
-    # prod(g_i ** i) is y**k times the primitive u, whose lead is u[-1]
-    return Fraction(f.leading_coefficient, u[-1]), parts
-
-
 def factor_over_rationals(f: BinaryForm) -> Factorization:
     """Full irreducible factorization over the rationals."""
     if f.is_zero:
@@ -627,24 +596,10 @@ def factor_over_rationals(f: BinaryForm) -> Factorization:
     return Factorization(content, tuple(factors))
 
 
-def valuation(f: BinaryForm, p: BinaryForm) -> int | float:
-    """Largest k with p**k dividing f; infinity for the zero form f.
-
-    p must be nonconstant and irreducible over the rationals (it is normalized
-    to its primitive part internally; valuations are scale-invariant).
-    """
-    if p.is_zero or p.degree == 0:
-        raise ValueError("valuation requires a nonconstant form")
-    p = p.primitive_part()
-    probe = factor_over_rationals(p)
-    if len(probe.factors) != 1 or probe.factors[0][1] != 1:
-        raise ValueError(f"valuation requires an irreducible form, got {p}")
-    return _valuation_at_irreducible(f, p)
-
-
 def _valuation_at_irreducible(f: BinaryForm, p: BinaryForm) -> int | float:
-    """valuation() without the irreducibility probe; p must be primitive
-    irreducible (trusted callers pass factors of a Factorization)."""
+    """Largest k with p**k dividing f; infinity for the zero form f.  p must
+    be primitive and irreducible over the rationals, as the factors of a
+    Factorization are; a multiple of y other than y is rejected."""
     if f.is_zero:
         return INFINITY
     kf, u = _dehomogenize(f)

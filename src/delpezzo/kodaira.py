@@ -18,7 +18,6 @@ j-invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cache, cached_property
 
 from .errors import InconsistentValuationError, InternalInvariantError, NonMinimalError
@@ -96,39 +95,38 @@ class FiberTypeProperties:
 
     duval: DuValLabel | None  # None encodes A0 (no singular point)
     chi: int
-    one_minus_lct: Fraction
     j_class: str  # "any", "pole", "zero", "value1728"
     rank: int
 
 
 @cache
 def fiber_properties(t: KodairaType) -> FiberTypeProperties:
-    """Reference data per fiber type: du Val label, Euler number, 1 - lct,
-    j-value class and du Val lattice rank."""
+    """Reference data per fiber type: du Val label, Euler number, j-value
+    class and du Val lattice rank."""
     tag = t.tag
     if tag == "I0":
-        return FiberTypeProperties(None, 0, Fraction(0), "any", 0)
+        return FiberTypeProperties(None, 0, "any", 0)
     if tag == "In":
         n = t.n
         duval = DuValLabel("A", n - 1) if n >= 2 else None
-        return FiberTypeProperties(duval, n, Fraction(0), "pole", n - 1)
+        return FiberTypeProperties(duval, n, "pole", n - 1)
     if tag == "II":
-        return FiberTypeProperties(None, 2, Fraction(1, 6), "zero", 0)
+        return FiberTypeProperties(None, 2, "zero", 0)
     if tag == "III":
-        return FiberTypeProperties(DuValLabel("A", 1), 3, Fraction(1, 4), "value1728", 1)
+        return FiberTypeProperties(DuValLabel("A", 1), 3, "value1728", 1)
     if tag == "IV":
-        return FiberTypeProperties(DuValLabel("A", 2), 4, Fraction(1, 3), "zero", 2)
+        return FiberTypeProperties(DuValLabel("A", 2), 4, "zero", 2)
     if tag == "I0*":
-        return FiberTypeProperties(DuValLabel("D", 4), 6, Fraction(1, 2), "any", 4)
+        return FiberTypeProperties(DuValLabel("D", 4), 6, "any", 4)
     if tag == "In*":
         n = t.n
-        return FiberTypeProperties(DuValLabel("D", 4 + n), 6 + n, Fraction(1, 2), "pole", 4 + n)
+        return FiberTypeProperties(DuValLabel("D", 4 + n), 6 + n, "pole", 4 + n)
     if tag == "IV*":
-        return FiberTypeProperties(DuValLabel("E", 6), 8, Fraction(2, 3), "zero", 6)
+        return FiberTypeProperties(DuValLabel("E", 6), 8, "zero", 6)
     if tag == "III*":
-        return FiberTypeProperties(DuValLabel("E", 7), 9, Fraction(3, 4), "value1728", 7)
+        return FiberTypeProperties(DuValLabel("E", 7), 9, "value1728", 7)
     if tag == "II*":
-        return FiberTypeProperties(DuValLabel("E", 8), 10, Fraction(5, 6), "zero", 8)
+        return FiberTypeProperties(DuValLabel("E", 8), 10, "zero", 8)
     raise ValueError(f"unknown Kodaira tag {tag!r}")
 
 
@@ -261,16 +259,9 @@ class FiberConfiguration:
     def rank_total(self) -> int:
         return sum(fiber_properties(t).rank * c for t, c in self.entries)
 
-    def count_of(self, tag: str) -> int:
-        return sum(c for t, c in self.entries if t.tag == tag)
-
     @property
     def has_In(self) -> bool:
         return any(t.tag == "In" for t, _ in self.entries)
-
-    @property
-    def has_Instar(self) -> bool:
-        return any(t.tag == "In*" for t, _ in self.entries)
 
     def __str__(self) -> str:
         if not self.entries:

@@ -19,15 +19,16 @@ delta to u^12 delta, and changes no valuation, no split and not j, so
 the lcm of the denominators of f4 and f6, and divides delta by u^12 once.
 
 Every verdict is read from the valuation triples (v4, v6, vD) of
-(f4, f6, delta) at the places of the base line.  ``WeierstrassData.split``
+(f4, f6, delta) at the places of the base line.  ``weierstrass_data``
 computes them once and with no factorization, as squarefree pieces of
-delta, one per triple.  Minimality is read from this split too.  A place
-is non-minimal when v4 >= 4 and v6 >= 6, the one triple without a row in
-Kodaira's table.  Then vD >= min(3 v4, 2 v6) >= 12 = deg delta, so such a
-place is linear and delta is a constant times its twelfth power: the split
-has it as its only piece, already primitive with a positive x-major
-leading coefficient.  ``weierstrass_data`` rejects it, and the Kodaira
-classification reads the split it leaves behind.
+delta, one per triple (``WeierstrassData.split``).  Minimality is read
+from this split too.  A place is non-minimal when v4 >= 4 and v6 >= 6,
+the one triple without a row in Kodaira's table.  Then
+vD >= min(3 v4, 2 v6) >= 12 = deg delta, so such a place is linear and
+delta is a constant times its twelfth power: the split has it as its only
+piece, already primitive with a positive x-major leading coefficient.
+``weierstrass_data`` rejects it, and the Kodaira classification reads the
+split it leaves behind.
 
 The discriminant convention is delta = -16 (4 f4^3 + 27 f6^2).  Relative to
 the bare cubic discriminant of z^3 + p z + q this carries a fixed factor 16
@@ -38,16 +39,14 @@ w^2 + z^3 + ... = 0), which tests account for explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import (
     MissingCubeTermError,
     MissingSquareTermError,
     NonMinimalError,
     ZeroDiscriminantError,
-    ZeroFormError,
 )
 from .forms import (
     INFINITY,
@@ -58,7 +57,6 @@ from .forms import (
     _homogenize,
     _u_split_by_order,
     _u_squarefree_parts,
-    squarefree_decomposition,
 )
 
 # Unused here; perfbench/tracing.py traces these names in this module.
@@ -78,30 +76,22 @@ class JInvariant:
     constant: bool
     value: int | Fraction | None = None
 
-    @property
-    def kind(self) -> str:
-        return "constant" if self.constant else "nonconstant"
-
 
 @dataclass(frozen=True)
 class WeierstrassData:
     """Validated short-Weierstrass pair with its discriminant and j-invariant.
 
-    ``weierstrass_data`` fills ``split`` from its integral model; an
-    instance built directly computes it on first read.  Equality and
-    hashing look only at the four fields.
+    ``split`` holds (piece, v4, v6, vD) for the squarefree pieces of delta,
+    one per valuation triple, with y = 0 a piece of its own.  It is read
+    off the four other fields, so equality, hashing and repr leave it out.
     """
 
     f4: BinaryForm
     f6: BinaryForm
     delta: BinaryForm
     j: JInvariant
-
-    @cached_property
-    def split(self) -> tuple[tuple[BinaryForm, int | float, int | float, int], ...]:
-        """(piece, v4, v6, vD) for the squarefree pieces of delta, one per
-        valuation triple; y = 0 is a piece of its own."""
-        return _split(self.f4, self.f6, self.delta)
+    split: tuple[tuple[BinaryForm, int | float, int | float, int], ...] = field(
+        compare=False, repr=False)
 
 
 def _split(f4: BinaryForm, f6: BinaryForm, delta: BinaryForm):
@@ -137,14 +127,8 @@ def _split_by_order(g: list[int], f: tuple[int, list[int]] | None):
     return [(g, INFINITY)] if f is None else _u_split_by_order(g, f[1])
 
 
-def discriminant(f4: BinaryForm, f6: BinaryForm) -> BinaryForm:
-    """delta = -16 (4 f4^3 + 27 f6^2), a form of degree 12."""
-    if f4.degree != 4 or f6.degree != 6:
-        raise ValueError("discriminant needs forms of degrees 4 and 6")
-    return _discriminant_from_parts(f4**3, f6**2)
-
-
 def _discriminant_from_parts(cube: BinaryForm, square: BinaryForm) -> BinaryForm:
+    """delta = -16 (4 f4^3 + 27 f6^2) from f4^3 and f6^2, a form of degree 12."""
     delta = (4 * cube + 27 * square) * -16
     if delta.is_zero:
         raise ZeroDiscriminantError(
@@ -153,17 +137,13 @@ def _discriminant_from_parts(cube: BinaryForm, square: BinaryForm) -> BinaryForm
     return delta
 
 
-def j_invariant(f4: BinaryForm, f6: BinaryForm) -> JInvariant:
-    """j = 1728 * 4 f4^3 / (4 f4^3 + 27 f6^2) as an exact function.
+def _j_from_parts(cube: BinaryForm, square: BinaryForm) -> JInvariant:
+    """j = 1728 * 4 f4^3 / (4 f4^3 + 27 f6^2) as an exact function, from
+    f4^3 and f6^2 (f4 is zero exactly when its cube is).
 
     Constant if and only if f4^3 and f6^2 are linearly dependent as forms;
     the constant value is 0 when f4 = 0 and 1728 when f6 = 0.
     """
-    return _j_from_parts(f4**3, f6**2)
-
-
-def _j_from_parts(cube: BinaryForm, square: BinaryForm) -> JInvariant:
-    """j from f4^3 and f6^2 (f4 is zero exactly when its cube is)."""
     if cube.is_zero and square.is_zero:
         raise ZeroDiscriminantError("j undefined: discriminant vanishes identically")
     if cube.is_zero:
@@ -184,15 +164,6 @@ def _j_from_parts(cube: BinaryForm, square: BinaryForm) -> JInvariant:
     return JInvariant(True, _exact(Fraction(6912 * a, denominator)))
 
 
-def cube_test(f6: BinaryForm) -> bool:
-    """Is f6 a perfect cube over the algebraic closure (all root
-    multiplicities divisible by 3)?"""
-    if f6.is_zero:
-        raise ZeroFormError("cube test undefined for the zero form")
-    _, parts = squarefree_decomposition(f6)
-    return all(mult % 3 == 0 for _, mult in parts)
-
-
 def weierstrass_data(f4: BinaryForm, f6: BinaryForm) -> WeierstrassData:
     """Validate a short-Weierstrass pair and compute delta, j and the split
     of delta; reject a place with v4 >= 4 and v6 >= 6, where the sextic has
@@ -211,14 +182,11 @@ def weierstrass_data(f4: BinaryForm, f6: BinaryForm) -> WeierstrassData:
         scale = u**12
         delta = BinaryForm.from_coefficients(
             12, (Fraction(c, scale) for c in int_delta.coefficients))
-    wd = WeierstrassData(f4=f4, f6=f6, delta=delta, j=_j_from_parts(cube, square))
-    # cached_property keeps wd.split in the instance dict: fill it with the
-    # split of the integral model
-    wd.__dict__["split"] = split = _split(int4, int6, int_delta)
+    split = _split(int4, int6, int_delta)
     for poly, v4, v6, _ in split:
         if v4 >= 4 and v6 >= 6:
             raise NonMinimalError(f"non-minimal place at {poly}: not du Val", place=poly)
-    return wd
+    return WeierstrassData(f4, f6, delta, _j_from_parts(cube, square), split)
 
 
 def reduce_to_short(sextic: GeneralSextic) -> WeierstrassData:

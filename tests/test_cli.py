@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import delpezzo
 from delpezzo.cli import main
 
@@ -252,6 +254,30 @@ def test_classify_into_a_closed_pipe_exits_1_without_traceback(tmp_path):
         proc.stdout.close()
         assert proc.wait(timeout=120) == 1
     assert "Traceback" not in errors.read_text()
+
+
+@pytest.mark.parametrize("argv", [["classify", "w^2+z^3+x^5*y"], ["tables"]])
+@pytest.mark.parametrize("stdout", ["closed", "/dev/full"])
+def test_an_unwritable_stdout_exits_1_with_one_line(argv, stdout):
+    if stdout == "closed":
+        target, close = None, lambda: os.close(1)  # as ``>&-`` does
+    elif os.path.exists(stdout):
+        target, close = open(stdout, "wb"), None
+    else:
+        pytest.skip(f"no {stdout} here")
+    src = os.path.dirname(os.path.dirname(delpezzo.__file__))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "delpezzo.cli", *argv], stdout=target,
+            stderr=subprocess.PIPE, preexec_fn=close, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        if target is not None:
+            target.close()
+    assert result.returncode == 1
+    assert result.stderr.decode().startswith("cannot write output: ")
+    assert result.stderr.count(b"\n") == 1, result.stderr
 
 
 def test_classify_and_catalog_verify_never_import_sympy():

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from delpezzo import forms
 from delpezzo.errors import DegreeMismatchError, ZeroFormError
@@ -13,10 +13,11 @@ from delpezzo.forms import (
     INFINITY,
     BinaryForm,
     Factorization,
+    _dehomogenize,
+    _u_squarefree_parts,
+    _valuation_at_irreducible,
     factor_over_rationals,
     form_gcd,
-    squarefree_decomposition,
-    valuation,
 )
 from delpezzo.sextic import parse_binary_form
 
@@ -98,40 +99,49 @@ def test_gcd_divides_both():
     assert bruteforce.try_divide(as_tuple(b), as_tuple(g)) is not None
 
 
-# -- squarefree decomposition --------------------------------------------------------
+# -- squarefree decomposition (Yun, on the dehomogenization t = x/y) -------------------
+#
+# _dehomogenize(f) is (k, u): y^k times the primitive u(t) = f(t, 1), low to
+# high, with the content and the sign of f taken out.
+
+
+def _u_product(parts):
+    out = [1]
+    for g, m in parts:
+        for _ in range(m):
+            out = list(bruteforce.poly_mul(tuple(out), tuple(g)))
+    return out
 
 
 def test_squarefree_cube():
-    content, parts = squarefree_decomposition(form("x^3*y^3", 6))
-    assert content == 1
-    assert parts == ((form("x*y", 2), 3),)
+    assert _dehomogenize(form("x^3*y^3", 6)) == (3, [0, 0, 0, 1])
+    assert _u_squarefree_parts([0, 0, 0, 1]) == [([0, 1], 3)]
+    assert _u_squarefree_parts([1, 0, 3, 0, 3, 0, 1]) == [([1, 0, 1], 3)]  # (t^2+1)^3
 
 
 def test_squarefree_mixed_multiplicities():
-    content, parts = squarefree_decomposition(form("(x-y)^2*x^3*y^7", 12))
-    assert content == 1
-    assert parts == ((form("x-y", 1), 2), (form("x", 1), 3), (form("y", 1), 7))
+    k, u = _dehomogenize(form("(x-y)^2*x^3*y^7", 12))
+    assert k == 7
+    assert _u_squarefree_parts(u) == [([-1, 1], 2), ([0, 1], 3)]
 
 
 def test_squarefree_already_squarefree():
-    content, parts = squarefree_decomposition(form("x^2+y^2", 2))
-    assert content == 1
-    assert parts == ((form("x^2+y^2", 2), 1),)
+    assert _u_squarefree_parts([1, 0, 1]) == [([1, 0, 1], 1)]
+    assert _u_squarefree_parts([5]) == []
 
 
 def test_squarefree_content_and_reconstruction():
-    f = form("-12*(x-y)^2*(x+y)*y^4", 7)
-    content, parts = squarefree_decomposition(f)
-    rebuilt = BinaryForm.constant(content)
-    for g, m in parts:
-        rebuilt = rebuilt * g**m
-    assert rebuilt == f
-    assert content == -12
+    k, u = _dehomogenize(form("-12*(x-y)^2*(x+y)*y^4", 7))
+    assert k == 4 and u == [1, -1, -1, 1]  # (t-1)^2 (t+1), content -12 gone
+    parts = _u_squarefree_parts(u)
+    assert parts == [([1, 1], 1), ([-1, 1], 2)]
+    assert _u_product(parts) == u
 
 
 def test_squarefree_zero_rejected():
+    # the zero form has no dehomogenization, so it never reaches Yun
     with pytest.raises(ZeroFormError):
-        squarefree_decomposition(BinaryForm.zero(3))
+        _dehomogenize(BinaryForm.zero(3))
 
 
 # -- irreducible factorization ---------------------------------------------------------
@@ -178,7 +188,7 @@ def test_factor_zero_rejected():
 def test_factor_normalization_and_irreducibility():
     f = form("(2*x-3*y)^2*(-5)*(x^2+x*y+y^2)", 4) * form("y^3", 3)
     fact = factor_over_rationals(f)
-    assert fact.expand() == f
+    assert _expanded(fact) == f
     for factor, mult in fact.factors:
         assert factor.leading_coefficient > 0
         ints = [int(c) for c in factor.coefficients]
@@ -249,6 +259,10 @@ def _product(forms_):
     return math.prod(forms_, start=BinaryForm.constant(1))
 
 
+def _expanded(fact: Factorization) -> BinaryForm:
+    return fact.content * _product(g**m for g, m in fact.factors)
+
+
 SMALL_PRIMES_PRODUCT = math.prod(forms._SMALL_PRIMES)
 
 
@@ -304,15 +318,12 @@ def test_factor_with_lead_divisible_by_the_small_primes():
             assert factor_over_rationals(g) == zassenhaus_reference(g), g
 
 
-def test_factor_non_squarefree_forms_and_the_valuation_probe():
+def test_factor_non_squarefree_forms():
     rng = random.Random(9005)
     for _ in range(80):
         pieces = [_random_form(rng, rng.randint(1, 3), 5) for _ in range(rng.randint(1, 3))]
         f = _product(p ** rng.randint(1, 4) for p in pieces)
         assert factor_over_rationals(f) == zassenhaus_reference(f), f
-        if len(pieces) == 1 and f.degree > pieces[0].degree:
-            with pytest.raises(ValueError):
-                valuation(f, f)
 
 
 def test_factor_forms_with_powers_of_x_and_y():
@@ -351,26 +362,29 @@ def test_rational_str_past_the_int_str_limit():
     assert str(f) == "7" + "0" * 4997 + "123*x - y"
 
 
-# -- valuation ---------------------------------------------------------------------------
+# -- valuation at an irreducible place ------------------------------------------------------
 
 
 def test_valuation_examples():
-    assert valuation(form("x^5*y", 6), form("x", 1)) == 5
-    assert valuation(BinaryForm.zero(6), form("x", 1)) == INFINITY
-    assert valuation(form("(x-y)^2*x^3*y^7", 12), form("x-y", 1)) == 2
-    assert valuation(form("(x-y)^2*x^3*y^7", 12), form("y", 1)) == 7
-    assert valuation(form("x^2+y^2", 2), form("x-y", 1)) == 0
+    v = _valuation_at_irreducible
+    assert v(form("x^5*y", 6), form("x", 1)) == 5
+    assert v(BinaryForm.zero(6), form("x", 1)) == INFINITY
+    assert v(form("(x-y)^2*x^3*y^7", 12), form("x-y", 1)) == 2
+    assert v(form("(x-y)^2*x^3*y^7", 12), form("y", 1)) == 7
+    assert v(form("x^2+y^2", 2), form("x-y", 1)) == 0
+    assert v(form("(x^2+y^2)^2*(x^2-2*y^2)", 6), form("x^2+y^2", 2)) == 2
 
 
 def test_valuation_rejects_bad_places():
+    # a multiple of y other than y itself is reducible or not primitive
     with pytest.raises(ValueError):
-        valuation(form("x^2", 2), form("3", 0))
+        _valuation_at_irreducible(form("x^2", 2), form("x*y", 2))
     with pytest.raises(ValueError):
-        valuation(form("x^2", 2), form("x^2-y^2", 2))
+        _valuation_at_irreducible(form("x^2", 2), form("2*y", 1))
 
 
 def test_valuation_scale_invariant_in_place():
-    assert valuation(form("(2*x+4*y)^3*y^3", 6), form("x+2*y", 1)) == 3
+    assert _valuation_at_irreducible(form("(2*x+4*y)^3*y^3", 6), form("x+2*y", 1)) == 3
 
 
 # -- property tests -----------------------------------------------------------------------
@@ -394,7 +408,7 @@ nonzero_forms = binary_forms().filter(lambda f: not f.is_zero)
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_factorization_round_trip(f):
     fact = factor_over_rationals(f)
-    assert fact.expand() == f
+    assert _expanded(fact) == f
     assert sum(m * g.degree for g, m in fact.factors) == f.degree
     # pairwise non-proportional (they are primitive with positive lead, so
     # non-proportional means distinct)
@@ -405,24 +419,30 @@ def test_factorization_round_trip(f):
 @given(nonzero_forms)
 @settings(max_examples=120, derandomize=True, deadline=None)
 def test_squarefree_parts_are_squarefree_and_coprime(f):
-    content, parts = squarefree_decomposition(f)
-    rebuilt = BinaryForm.constant(content)
-    for g, m in parts:
-        rebuilt = rebuilt * g**m
-    assert rebuilt == f
-    for g, _ in parts:
+    _, u = _dehomogenize(f)
+    parts = _u_squarefree_parts(u)
+    assert _u_product(parts) == u
+    assert [m for _, m in parts] == sorted({m for _, m in parts})
+    # each g homogenized at its own degree, so y divides none of them
+    gs = [BinaryForm.from_coefficients(len(g) - 1, g[::-1]) for g, _ in parts]
+    for g in gs:
         # squarefree: every linear factor of g appears exactly once, and the
         # full factorization of g has multiplicity-one factors
         assert all(m == 1 for m in bruteforce.linear_factors(as_tuple(g)).values())
         assert all(m == 1 for _, m in factor_over_rationals(g).factors)
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            assert form_gcd(parts[i][0], parts[j][0]).degree == 0
+    for i in range(len(gs)):
+        for j in range(i + 1, len(gs)):
+            assert form_gcd(gs[i], gs[j]).degree == 0
 
 
-@given(nonzero_forms, nonzero_forms)
+@given(nonzero_forms, nonzero_forms, binary_forms(max_degree=2).filter(lambda f: not f.is_zero),
+       st.integers(min_value=0, max_value=2))
+@example(BinaryForm(2, (0, 1, 0)), BinaryForm(2, (0, 0, 1)), BinaryForm.constant(1), 0)  # y
+@example(BinaryForm(1, (0, 1)), BinaryForm(2, (1, 0, 1)), BinaryForm(1, (0, 1)), 2)  # y^2
 @settings(max_examples=120, derandomize=True, deadline=None)
-def test_gcd_divides_and_is_maximal(a, b):
+def test_gcd_divides_and_is_maximal(a, b, c, k):
+    # random forms are almost always coprime; a shared c^k makes maximality bite
+    a, b = a * c**k, b * c**k
     g = form_gcd(a, b)
     ga = bruteforce.try_divide(tuple(c for c in a.coefficients), tuple(g.coefficients))
     gb = bruteforce.try_divide(tuple(c for c in b.coefficients), tuple(g.coefficients))
@@ -432,7 +452,7 @@ def test_gcd_divides_and_is_maximal(a, b):
     fb = {p: m for p, m in factor_over_rationals(b).factors}
     for p in set(fa) & set(fb):
         want = min(fa[p], fb[p])
-        assert valuation(g, p) == want
+        assert bruteforce.multiplicity(as_tuple(p), as_tuple(g)) == want
 
 
 @given(nonzero_forms)

@@ -1,4 +1,4 @@
-"""Reduction to short form, discriminant, j-invariant, cube test, validation."""
+"""Reduction to short form, discriminant, j-invariant, validation."""
 
 import itertools
 import math
@@ -33,9 +33,7 @@ from delpezzo.sextic import (
 from delpezzo.weierstrass import (
     JInvariant,
     WeierstrassData,
-    cube_test,
-    discriminant,
-    j_invariant,
+    _j_from_parts,
     reduce_to_short,
     weierstrass_data,
 )
@@ -43,6 +41,15 @@ from delpezzo.weierstrass import (
 
 def form(text, degree):
     return parse_binary_form(text, degree)
+
+
+def j_of(f4, f6):
+    """j as weierstrass_data computes it, or from f4^3 and f6^2 alone for a
+    pair it rejects as non-minimal."""
+    try:
+        return weierstrass_data(f4, f6).j
+    except NonMinimalError:
+        return _j_from_parts(f4**3, f6**2)
 
 
 # -- reduction -----------------------------------------------------------------
@@ -103,40 +110,42 @@ def test_discriminant_vs_bare_cubic_discriminant():
     # -108 (x-y)^2 x^3 y^7; our normalization carries the fixed factor 16
     f4 = form("-3*(x-y)*x*y^2", 4)
     f6 = form("2*(x-y)*x^2*y^3", 6)
-    delta = discriminant(f4, f6)
+    delta = weierstrass_data(f4, f6).delta
     bare = form("-108*(x-y)^2*x^3*y^7", 12)
     assert delta == 16 * bare
 
 
 def test_discriminant_pure_sextic():
-    delta = discriminant(BinaryForm.zero(4), form("x^5*y", 6))
+    delta = weierstrass_data(BinaryForm.zero(4), form("x^5*y", 6)).delta
     assert delta == form("-432*x^10*y^2", 12)
 
 
 def test_discriminant_zero_rejected():
     with pytest.raises(ZeroDiscriminantError):
-        discriminant(BinaryForm.zero(4), BinaryForm.zero(6))
+        weierstrass_data(BinaryForm.zero(4), BinaryForm.zero(6))
     # 4 f4^3 = -27 f6^2 with both nonzero: f4 = -3u^2, f6 = 2u^3
     u = form("x*y", 2)
     with pytest.raises(ZeroDiscriminantError):
-        discriminant(-3 * (u * u), 2 * (u * u * u))
+        weierstrass_data(-3 * (u * u), 2 * (u * u * u))
+    with pytest.raises(ZeroDiscriminantError):
+        weierstrass_data(Fraction(1, 4) * (-3 * (u * u)), Fraction(1, 8) * (2 * (u * u * u)))
 
 
 def test_j_undefined_when_discriminant_vanishes_with_both_forms_nonzero():
-    # 4 f4^3 + 27 f6^2 = 0 makes the j formula divide by zero
+    # 4 f4^3 + 27 f6^2 = 0 makes the j formula divide by zero;
+    # weierstrass_data rejects the pair before it reads j
     u = form("x*y", 2)
-    with pytest.raises(ZeroDiscriminantError):
-        j_invariant(-3 * (u * u), 2 * (u * u * u))
-    with pytest.raises(ZeroDiscriminantError):
-        j_invariant(-3 * (u * u) * 4, 2 * (u * u * u) * 8)
+    for f4, f6 in ((-3 * (u * u), 2 * (u * u * u)), (-3 * (u * u) * 4, 2 * (u * u * u) * 8)):
+        with pytest.raises(ZeroDiscriminantError):
+            _j_from_parts(f4**3, f6**2)
 
 
 # -- j invariant ---------------------------------------------------------------------
 
 
 def test_j_zero_and_1728():
-    assert j_invariant(BinaryForm.zero(4), form("x^5*y", 6)).value == 0
-    assert j_invariant(form("x^3*y", 4), BinaryForm.zero(6)).value == 1728
+    assert weierstrass_data(BinaryForm.zero(4), form("x^5*y", 6)).j == JInvariant(True, 0)
+    assert weierstrass_data(form("x^3*y", 4), BinaryForm.zero(6)).j == JInvariant(True, 1728)
 
 
 def test_j_constant_neither_special():
@@ -147,7 +156,7 @@ def test_j_constant_neither_special():
 
 
 def test_j_nonconstant_when_cube_and_square_independent():
-    j = j_invariant(form("x^4", 4), form("x^5*y", 6))
+    j = weierstrass_data(form("x^4", 4), form("x^5*y", 6)).j
     assert not j.constant and j.value is None
 
 
@@ -166,23 +175,7 @@ def test_j_constancy_matches_linear_dependence():
             for i in range(13)
             for k in range(i + 1, 13)
         )
-        assert j_invariant(f4, f6).constant == dependent
-
-
-# -- cube test --------------------------------------------------------------------------
-
-
-def test_cube_test_examples():
-    assert cube_test(form("x^3*y^3", 6)) is True
-    assert cube_test(form("x^5*y", 6)) is False
-    assert cube_test(form("x^6", 6)) is True
-    assert cube_test(form("(x^2+y^2)^3", 6)) is True
-    assert cube_test(form("8*x^3*y^3", 6)) is True
-
-
-def test_cube_test_zero_rejected():
-    with pytest.raises(Exception):
-        cube_test(BinaryForm.zero(6))
+        assert j_of(f4, f6).constant == dependent
 
 
 # -- validation -------------------------------------------------------------------------
@@ -429,7 +422,7 @@ def test_j_matches_ratio_reference():
     for f4, f6 in pairs:
         if (4 * f4**3 + 27 * f6**2).is_zero:  # no j
             continue
-        expected, got = _ratio_j(f4, f6), j_invariant(f4, f6)
+        expected, got = _ratio_j(f4, f6), j_of(f4, f6)
         assert got == expected and type(got.value) is type(expected.value)
         kinds[expected.value if expected.value in (0, 1728, None) else "other"] += 1
     assert all(kinds[k] >= 5 for k in (0, 1728, None, "other")), kinds
