@@ -93,7 +93,3 @@ class TableMismatchError(DelPezzoError):
 
 class ZeroFormError(ValueError):
     """Operation undefined on the identically-zero form."""
-
-
-class DegreeMismatchError(ValueError):
-    """Homogeneous arithmetic on forms of different degrees."""

@@ -1,18 +1,14 @@
 """Exact arithmetic with homogeneous binary forms over the rationals.
 
-A :class:`BinaryForm` of degree ``d`` stores ``d + 1`` rational coefficients,
-entry ``i`` being the coefficient of ``x**(d-i) * y**i``.  The identically-zero
-form keeps a declared degree so homogeneous arithmetic stays well-typed (f4
-may be the zero form of degree 4).
+A :class:`BinaryForm` of degree ``d`` stores ``d + 1`` rational coefficients
+(an ``int`` when integral, else a ``Fraction``), entry ``i`` being the
+coefficient of ``x**(d-i) * y**i``; the zero form keeps its degree.  It is a
+value type without arithmetic, for the parsed forms and the results.
 
-Everything here is exact: no rounding occurs anywhere.  A coefficient is an
-``int`` when its value is integral and a ``Fraction`` only when it is not,
-the rule Python's own number tower follows: ``int`` and ``Fraction`` mix
-exactly, and a sum or product of ints stays an int, so integral inputs are
-never wrapped.  Floats never appear: the constructors reject them, and every
-division of coefficients is written ``Fraction(a, b)``, because ``a / b`` of
-two ints is a float.  Values, not types, decide equality, hashing, sorting
-and ``str``, so the rule changes no result.
+The algorithms below run on the kernel: dense int lists, entry ``i`` being the
+coefficient of ``x**i * y**(d-i)``, which is the low-to-high list of
+``u(t) = f(t, 1)``.  Trailing zeros count the power of ``y`` dividing the
+form (:func:`_y_part`), and :func:`_u_mul` multiplies two lists.
 
 gcd, squarefree splitting, valuations and the split of a squarefree
 polynomial by the order of vanishing of another run on primitive integer
@@ -40,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeMismatchError, ZeroFormError
+from .errors import ZeroFormError
 
 INFINITY = math.inf
 
@@ -78,7 +74,7 @@ class BinaryForm:
     """Homogeneous polynomial in x, y with exact rational coefficients.
 
     Each coefficient is an ``int`` when integral and a non-integral
-    ``Fraction`` otherwise, never a float; the constructors normalize.
+    ``Fraction`` otherwise, never a float; ``from_coefficients`` normalizes.
     """
 
     degree: int
@@ -101,10 +97,6 @@ class BinaryForm:
     def zero(degree: int) -> "BinaryForm":
         return BinaryForm(degree, (0,) * (degree + 1))
 
-    @staticmethod
-    def constant(value) -> "BinaryForm":
-        return BinaryForm(0, (_exact(value),))
-
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
@@ -116,64 +108,6 @@ class BinaryForm:
             if c != 0:
                 return c
         return 0
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other: "BinaryForm") -> "BinaryForm":
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise DegreeMismatchError(
-                f"cannot add forms of degrees {self.degree} and {other.degree}"
-            )
-        return BinaryForm.from_coefficients(
-            self.degree, (a + b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
-    def __sub__(self, other: "BinaryForm") -> "BinaryForm":
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise DegreeMismatchError(
-                f"cannot subtract forms of degrees {self.degree} and {other.degree}"
-            )
-        return BinaryForm.from_coefficients(
-            self.degree, (a - b for a, b in zip(self.coefficients, other.coefficients))
-        )
-
-    def __neg__(self) -> "BinaryForm":
-        return BinaryForm(self.degree, tuple(-a for a in self.coefficients))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BinaryForm.from_coefficients(
-                self.degree, (a * other for a in self.coefficients)
-            )
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        d = self.degree + other.degree
-        out = [0] * (d + 1)
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients):
-                    if b:
-                        out[i + j] += a * b
-        return BinaryForm.from_coefficients(d, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "BinaryForm":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = BinaryForm.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     # -- normal forms ---------------------------------------------------------
 
@@ -251,20 +185,33 @@ _PRIME = (1 << 61) - 1
 
 
 def _dehomogenize(f: BinaryForm) -> tuple[int, list[int]]:
-    coefficients = f.coefficients
-    k = 0
-    while k <= f.degree and coefficients[k] == 0:
-        k += 1
-    if k > f.degree:
+    den = math.lcm(*(c.denominator for c in f.coefficients))
+    return _y_part([c.numerator * (den // c.denominator) for c in reversed(f.coefficients)])
+
+
+def _y_part(v: list[int]) -> tuple[int, list[int]]:
+    """(k, u) for the kernel list v of a nonzero form: y**k divides the form
+    exactly and u is the primitive list of the form over y**k."""
+    n = len(v)
+    while n and v[n - 1] == 0:
+        n -= 1
+    if not n:
         raise ZeroFormError("cannot dehomogenize the zero form")
-    den = math.lcm(*(c.denominator for c in coefficients[k:]))
-    return k, _u_primitive([c.numerator * (den // c.denominator)
-                            for c in reversed(coefficients[k:])])
+    return len(v) - n, _u_primitive(v[:n])
 
 
 def _homogenize(y_power: int, u: list[int]) -> BinaryForm:
-    degree = y_power + len(u) - 1
-    return BinaryForm.from_coefficients(degree, [0] * y_power + u[::-1])
+    return BinaryForm(y_power + len(u) - 1, (0,) * y_power + tuple(reversed(u)))
+
+
+def _u_mul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two kernel lists (or of two univariate polynomials)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
 
 
 def _u_primitive(u: list[int]) -> list[int]:
@@ -599,7 +546,10 @@ def factor_over_rationals(f: BinaryForm) -> Factorization:
 def _valuation_at_irreducible(f: BinaryForm, p: BinaryForm) -> int | float:
     """Largest k with p**k dividing f; infinity for the zero form f.  p must
     be primitive and irreducible over the rationals, as the factors of a
-    Factorization are; a multiple of y other than y is rejected."""
+    Factorization are; a constant or a multiple of y other than y is
+    rejected."""
+    if p.degree == 0:  # a unit: every power of it divides f
+        raise ValueError(f"not irreducible: the constant {p}")
     if f.is_zero:
         return INFINITY
     kf, u = _dehomogenize(f)

@@ -11,12 +11,14 @@ f6 = -c6/864.  The result is isomorphic to the input surface over the
 rationals; valuations of (f4, f6, delta) at every place -- hence the whole
 classification -- do not depend on the choices made here.
 
-The work runs on integers.  A rational sextic is scaled once by the lcm of
-its denominators, which leaves one division per form for f4 and f6.  The
-substitution z -> u^2 z, w -> u^3 w scales (f4, f6) to (u^4 f4, u^6 f6) and
-delta to u^12 delta, and changes no valuation, no split and not j, so
-``weierstrass_data`` cubes, squares and splits the integral model with u
-the lcm of the denominators of f4 and f6, and divides delta by u^12 once.
+The work runs on an integral model held as int lists in the kernel order
+of ``forms``; only f4, f6, delta and the split pieces become forms.  A
+rational sextic is scaled once by the lcm of its denominators, which
+leaves one division per form for f4 and f6.  The substitution z -> u^2 z,
+w -> u^3 w scales (f4, f6) to (u^4 f4, u^6 f6) and delta to u^12 delta,
+and changes no valuation, no split and not j, so ``weierstrass_data``
+cubes, squares and splits the integral model with u the lcm of the
+denominators of f4 and f6, and divides delta by u^12 once.
 
 Every verdict is read from the valuation triples (v4, v6, vD) of
 (f4, f6, delta) at the places of the base line.  ``weierstrass_data``
@@ -52,11 +54,12 @@ from .forms import (
     INFINITY,
     Y_FORM,
     BinaryForm,
-    _dehomogenize,
     _exact,
     _homogenize,
+    _u_mul,
     _u_split_by_order,
     _u_squarefree_parts,
+    _y_part,
 )
 
 # Unused here; perfbench/tracing.py traces these names in this module.
@@ -94,8 +97,9 @@ class WeierstrassData:
         compare=False, repr=False)
 
 
-def _split(f4: BinaryForm, f6: BinaryForm, delta: BinaryForm):
-    """WeierstrassData.split of the pair (f4, f6) with discriminant delta.
+def _split(f4: list[int], f6: list[int], delta: list[int]):
+    """WeierstrassData.split of the kernel lists of an integral pair (f4, f6)
+    and of its discriminant delta.
 
     Yun's algorithm splits the affine part of delta by vD; each part is
     split by the order of vanishing of f4, then of f6.  A simple root of
@@ -105,9 +109,9 @@ def _split(f4: BinaryForm, f6: BinaryForm, delta: BinaryForm):
     case) costs one modular check and no gcd.  Each piece is primitive
     with positive x-major leading coefficient.
     """
-    k, u = _dehomogenize(delta)
-    f4 = None if f4.is_zero else _dehomogenize(f4)
-    f6 = None if f6.is_zero else _dehomogenize(f6)
+    k, u = _y_part(delta)
+    f4 = _y_part(f4) if any(f4) else None
+    f6 = _y_part(f6) if any(f6) else None
     pieces = []
     if k:
         v4, v6 = (INFINITY if f is None else f[0] for f in (f4, f6))
@@ -127,32 +131,32 @@ def _split_by_order(g: list[int], f: tuple[int, list[int]] | None):
     return [(g, INFINITY)] if f is None else _u_split_by_order(g, f[1])
 
 
-def _discriminant_from_parts(cube: BinaryForm, square: BinaryForm) -> BinaryForm:
-    """delta = -16 (4 f4^3 + 27 f6^2) from f4^3 and f6^2, a form of degree 12."""
-    delta = (4 * cube + 27 * square) * -16
-    if delta.is_zero:
+def _discriminant_from_parts(cube: list[int], square: list[int]) -> list[int]:
+    """delta = -16 (4 f4^3 + 27 f6^2) from f4^3 and f6^2, all kernel lists."""
+    delta = [-64 * c - 432 * s for c, s in zip(cube, square)]
+    if not any(delta):
         raise ZeroDiscriminantError(
             "not an elliptic fibration: discriminant vanishes identically"
         )
     return delta
 
 
-def _j_from_parts(cube: BinaryForm, square: BinaryForm) -> JInvariant:
+def _j_from_parts(cube: list[int], square: list[int]) -> JInvariant:
     """j = 1728 * 4 f4^3 / (4 f4^3 + 27 f6^2) as an exact function, from
-    f4^3 and f6^2 (f4 is zero exactly when its cube is).
+    the kernel lists of f4^3 and f6^2 (f4 is zero exactly when its cube is).
 
     Constant if and only if f4^3 and f6^2 are linearly dependent as forms;
     the constant value is 0 when f4 = 0 and 1728 when f6 = 0.
     """
-    if cube.is_zero and square.is_zero:
+    if not any(cube) and not any(square):
         raise ZeroDiscriminantError("j undefined: discriminant vanishes identically")
-    if cube.is_zero:
+    if not any(cube):
         return JInvariant(True, 0)
-    if square.is_zero:
+    if not any(square):
         return JInvariant(True, 1728)
-    # f4^3 = (a / s) f6^2 for the first nonzero coefficient s of f6^2 and
-    # the coefficient a of f4^3 beside it, if every pair (c, t) has c s = a t.
-    pairs = list(zip(cube.coefficients, square.coefficients))
+    # f4^3 = (a / s) f6^2 for a nonzero coefficient s of f6^2 and the
+    # coefficient a of f4^3 beside it, if every pair (c, t) has c s = a t.
+    pairs = list(zip(cube, square))
     a, s = next((c, t) for c, t in pairs if t)
     if any(c * s != a * t for c, t in pairs):
         return JInvariant(False)
@@ -173,15 +177,15 @@ def weierstrass_data(f4: BinaryForm, f6: BinaryForm) -> WeierstrassData:
     # the integral model (u^4 f4, u^6 f6) has discriminant u^12 delta, the
     # same j and the same split
     u = math.lcm(*(c.denominator for c in f4.coefficients + f6.coefficients))
-    int4, int6 = _cleared(f4, u, 4), _cleared(f6, u, 6)
-    cube, square = int4**3, int6**2
+    int4, int6 = _cleared(f4, u**4), _cleared(f6, u**6)
+    cube, square = _u_mul(_u_mul(int4, int4), int4), _u_mul(int6, int6)
     int_delta = _discriminant_from_parts(cube, square)
     if u == 1:
-        delta = int_delta
+        delta = BinaryForm(12, tuple(reversed(int_delta)))
     else:
         scale = u**12
         delta = BinaryForm.from_coefficients(
-            12, (Fraction(c, scale) for c in int_delta.coefficients))
+            12, (Fraction(c, scale) for c in reversed(int_delta)))
     split = _split(int4, int6, int_delta)
     for poly, v4, v6, _ in split:
         if v4 >= 4 and v6 >= 6:
@@ -205,7 +209,7 @@ def reduce_to_short(sextic: GeneralSextic) -> WeierstrassData:
     den = math.lcm(sextic.c_w2.denominator, sextic.c_z3.denominator,
                    *(c.denominator for f in slots for c in f.coefficients))
     a, b = (c.numerator * (den // c.denominator) for c in (sextic.c_w2, -sextic.c_z3))
-    c_wz, c_w, c_z2, c_z, c_0 = (_cleared(f, den, 1) for f in slots)
+    c_wz, c_w, c_z2, c_z, c_0 = (_cleared(f, den) for f in slots)
     ab = a * b
     # Times 4a the sextic reads
     #   (2a w + c_wz z + c_w)^2 = 4ab z^3 - p z^2 - 2q z - r.
@@ -213,20 +217,22 @@ def reduce_to_short(sextic: GeneralSextic) -> WeierstrassData:
     # b4 = -q/(ab)^3, b6 = -r/(ab)^4, and depressing the cubic gives
     # f4 = -c4/48, f6 = -c6/864 with c4 = b2^2 - 24 b4 and
     # c6 = -b2^3 + 36 b2 b4 - 216 b6 (Silverman, AEC III.1).  Clearing the
-    # powers of ab leaves int forms and one division per form, which also
+    # powers of ab leaves int lists and one division per form, which also
     # undoes the scaling by den.
-    p = 4 * a * c_z2 - c_wz * c_wz
-    q = 2 * a * c_z - c_wz * c_w
-    r = 4 * a * c_0 - c_w * c_w
-    f4 = (p * p + 24 * ab * q) * Fraction(-den**4, 48 * ab**4)
-    f6 = (p * p * p + 36 * ab * p * q + 216 * ab**2 * r) * Fraction(-den**6, 864 * ab**6)
+    p = [4 * a * c - d for c, d in zip(c_z2, _u_mul(c_wz, c_wz))]
+    q = [2 * a * c - d for c, d in zip(c_z, _u_mul(c_wz, c_w))]
+    r = [4 * a * c - d for c, d in zip(c_0, _u_mul(c_w, c_w))]
+    pp = _u_mul(p, p)
+    c4 = [c + 24 * ab * d for c, d in zip(pp, q)]
+    c6 = [c + 36 * ab * d + 216 * ab**2 * e
+          for c, d, e in zip(_u_mul(pp, p), _u_mul(p, q), r)]
+    scale4, scale6 = Fraction(-den**4, 48 * ab**4), Fraction(-den**6, 864 * ab**6)
+    f4 = BinaryForm.from_coefficients(4, (c * scale4 for c in reversed(c4)))
+    f6 = BinaryForm.from_coefficients(6, (c * scale6 for c in reversed(c6)))
     return weierstrass_data(f4, f6)
 
 
-def _cleared(f: BinaryForm, u: int, k: int) -> BinaryForm:
-    """u^k f as an int form, for a form whose denominators divide u."""
-    if u == 1:
-        return f
-    scale = u**k
-    return BinaryForm(f.degree, tuple(c.numerator * (scale // c.denominator)
-                                      for c in f.coefficients))
+def _cleared(f: BinaryForm, scale: int) -> list[int]:
+    """The kernel list of scale * f, for a form whose denominators divide
+    scale."""
+    return [c.numerator * (scale // c.denominator) for c in reversed(f.coefficients)]

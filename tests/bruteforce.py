@@ -47,6 +47,22 @@ def poly_mul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+def poly_pow(a: tuple, k: int) -> tuple:
+    out = (1,)
+    for _ in range(k):
+        out = poly_mul(out, a)
+    return out
+
+
+def poly_add(*polys: tuple) -> tuple:
+    """The sum of coefficient tuples of one length."""
+    return tuple(map(sum, zip(*polys, strict=True)))
+
+
+def poly_scale(c, a: tuple) -> tuple:
+    return tuple(c * x for x in a)
+
+
 def _desc_divmod(num: list, den: list):
     """Long division of descending coefficient lists over Q."""
     num = [Fraction(c) for c in num]

@@ -6,7 +6,9 @@ when it is public (``delpezzo.__all__`` or ``cli.main``), when the language
 calls it (a dunder method), or when it is on the allowlist below.  Names are
 matched as strings, so the check is coarse: it cannot see that ``.zero`` on
 another class is not ``BinaryForm.zero``.  It catches a helper that only the
-tests call.
+tests call.  An allowlist entry that names no definition, or one the check
+passes without it, is an error too, so the allowlist cannot outlive its
+reasons.
 """
 
 import ast
@@ -47,9 +49,10 @@ def _definitions(module: str, body: list, prefix: str = ""):
                 yield from _definitions(module, node.body, f"{name}.")
 
 
-def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
+def _unreferenced(trees: dict[str, ast.Module], allowed=ALLOWED) -> list[str]:
     """Qualified names of the definitions in trees (module name -> parsed
-    source) that nothing outside their own body refers to."""
+    source) that nothing outside their own body refers to, public and
+    allowed names left out."""
     everywhere = sum((_references(tree) for tree in trees.values()), Counter())
     public = {f"{module}.{name}" for module in trees for name in delpezzo.__all__}
     public.add("cli.main")
@@ -59,7 +62,7 @@ def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if qualified in public or qualified in ALLOWED:
+            if qualified in public or qualified in allowed:
                 continue
             if everywhere[name] - _references(node)[name] > 0:
                 continue
@@ -67,13 +70,34 @@ def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
     return unused
 
 
+def _stale(trees: dict[str, ast.Module], allowed=ALLOWED) -> list[str]:
+    """The entries of allowed that name no definition in trees, or one the
+    check would pass without them."""
+    unreached = set(_unreferenced(trees, allowed=()))
+    return sorted(name for name in allowed if name not in unreached)
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def test_every_definition_is_reached_from_the_package():
-    trees = {path.stem: ast.parse(path.read_text(), str(path))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _package_trees()
     assert len(trees) >= 10  # the check is not vacuous
     assert _unreferenced(trees) == []
+
+
+def test_every_allowlist_entry_is_still_needed():
+    assert _stale(_package_trees()) == []
 
 
 def test_the_check_sees_a_helper_only_itself_calls():
     source = "def helper():\n    return helper()\n\nclass A:\n    def m(self):\n        pass\n"
     assert _unreferenced({"m": ast.parse(source)}) == ["m.helper", "m.A", "m.A.m"]
+
+
+def test_the_check_sees_a_stale_allowlist_entry():
+    source = "def helper():\n    pass\n\ndef used():\n    pass\n\nused()\n"
+    trees = {"m": ast.parse(source)}
+    assert _stale(trees, {"m.helper", "m.used", "m.gone"}) == ["m.gone", "m.used"]

@@ -1,4 +1,4 @@
-"""Ring arithmetic, gcd, squarefree splitting, factorization, valuations."""
+"""The kernel product, gcd, squarefree splitting, factorization, valuations."""
 
 import math
 import random
@@ -8,13 +8,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from delpezzo import forms
-from delpezzo.errors import DegreeMismatchError, ZeroFormError
+from delpezzo.errors import ZeroFormError
 from delpezzo.forms import (
     INFINITY,
     BinaryForm,
     Factorization,
     _dehomogenize,
+    _u_mul,
     _u_squarefree_parts,
+    _y_part,
     _valuation_at_irreducible,
     factor_over_rationals,
     form_gcd,
@@ -32,36 +34,27 @@ def as_tuple(f: BinaryForm) -> tuple:
     return tuple(int(c) for c in f.coefficients)
 
 
-# -- ring operations ---------------------------------------------------------------
-
-
-def test_product_of_conjugates():
-    assert form("x-y", 1) * form("x+y", 1) == form("x^2-y^2", 2)
-
-
-def test_power():
-    assert form("x^2*y^2", 4) ** 3 == form("x^6*y^6", 12)
-
-
-def test_multiplication_by_zero_form_keeps_degree():
-    product = 4 * form("x^5*y", 6) ** 3 * BinaryForm.zero(2)
-    assert product.is_zero and product.degree == 20
-
-
-def test_add_requires_equal_degrees():
-    with pytest.raises(DegreeMismatchError):
-        form("x", 1) + form("x^2", 2)
-
-
-def test_scale_and_negate():
-    f = form("x^2 - 3*x*y", 2)
-    assert Fraction(-1, 2) * f == form("-1/2*x^2 + 3/2*x*y", 2)
-    assert -f == form("3*x*y - x^2", 2)
-
-
 def test_string_round_trips_through_parser():
     f = form("-2*x^3 + 1/3*x*y^2 - y^3", 3)
     assert parse_binary_form(str(f), 3) == f
+
+
+# -- the kernel product ------------------------------------------------------------
+
+
+def test_u_mul_matches_poly_mul():
+    # kernel lists of any lengths, the constant lists [c] and zero lists
+    # among them; a product keeps the length of its degree even when zero
+    rng = random.Random(9000)
+    lists = [[0], [1], [-3], [0, 0, 0], [0, 1], [5, 0, 0, -2]]
+    lists += [[rng.choice([0, 0, rng.randint(-99, 99), rng.randint(-2**80, 2**80)])
+               for _ in range(rng.randint(1, 13))] for _ in range(60)]
+    for a in lists:
+        for b in lists:
+            product = _u_mul(a, b)
+            assert product == list(bruteforce.poly_mul(tuple(a), tuple(b)))
+            assert len(product) == len(a) + len(b) - 1
+            assert all(type(c) is int for c in product)
 
 
 # -- gcd ---------------------------------------------------------------------------
@@ -102,7 +95,8 @@ def test_gcd_divides_both():
 # -- squarefree decomposition (Yun, on the dehomogenization t = x/y) -------------------
 #
 # _dehomogenize(f) is (k, u): y^k times the primitive u(t) = f(t, 1), low to
-# high, with the content and the sign of f taken out.
+# high, with the content and the sign of f taken out.  _y_part does the same
+# for a kernel list, whose trailing zeros count the power of y.
 
 
 def _u_product(parts):
@@ -138,6 +132,16 @@ def test_squarefree_content_and_reconstruction():
     assert _u_product(parts) == u
 
 
+def test_y_part_reads_the_power_of_y_from_trailing_zeros():
+    # 6 x^2 y^3 - 9 x^3 y^2 = y^2 x^2 (6 y - 9 x)
+    assert _y_part([0, 0, 6, -9, 0, 0]) == (2, [0, 0, -2, 3])
+    assert _y_part([4]) == (0, [1])
+    assert _y_part([0, 0, 7]) == (0, [0, 0, 1])
+    assert _dehomogenize(form("6*x^2*y^3 - 9*x^3*y^2", 5)) == (2, [0, 0, -2, 3])
+    with pytest.raises(ZeroFormError):
+        _y_part([0, 0, 0])
+
+
 def test_squarefree_zero_rejected():
     # the zero form has no dehomogenization, so it never reaches Yun
     with pytest.raises(ZeroFormError):
@@ -162,7 +166,7 @@ def test_factor_discriminant_shape():
 
 
 def test_factor_with_negative_content():
-    fact = factor_over_rationals(form("1728*(x-y)^2*x^3*y^7", 12) * (-1))
+    fact = factor_over_rationals(form("-1728*(x-y)^2*x^3*y^7", 12))
     assert fact.content == -1728
     assert set(fact.factors) == {
         (form("x-y", 1), 2),
@@ -186,7 +190,7 @@ def test_factor_zero_rejected():
 
 
 def test_factor_normalization_and_irreducibility():
-    f = form("(2*x-3*y)^2*(-5)*(x^2+x*y+y^2)", 4) * form("y^3", 3)
+    f = form("(2*x-3*y)^2*(-5)*(x^2+x*y+y^2)*y^3", 7)
     fact = factor_over_rationals(f)
     assert _expanded(fact) == f
     for factor, mult in fact.factors:
@@ -220,10 +224,10 @@ def zassenhaus_reference(f: BinaryForm) -> Factorization:
     content = Fraction(int(lead), den)
     factors = [(form("y", 1), k)] if k else []
     for coeffs, mult in raw:
-        g = BinaryForm.from_coefficients(len(coeffs) - 1, [int(c) for c in coeffs])
-        if g.leading_coefficient < 0:
-            g, content = -g, content * (-1) ** mult
-        factors.append((g, mult))
+        coeffs = [int(c) for c in coeffs]
+        if coeffs[0] < 0:
+            coeffs, content = [-c for c in coeffs], content * (-1) ** mult
+        factors.append((BinaryForm.from_coefficients(len(coeffs) - 1, coeffs), mult))
     return Factorization(content, tuple(sorted(factors, key=lambda i: i[0].sort_key())))
 
 
@@ -256,11 +260,19 @@ def _without_rational_root(rng, degree, bits=8):
 
 
 def _product(forms_):
-    return math.prod(forms_, start=BinaryForm.constant(1))
+    """The product of forms, by the oracle's convolution."""
+    coefficients = (1,)
+    for f in forms_:
+        coefficients = bruteforce.poly_mul(coefficients, f.coefficients)
+    return BinaryForm.from_coefficients(len(coefficients) - 1, coefficients)
+
+
+def _scaled(f: BinaryForm, c) -> BinaryForm:
+    return BinaryForm.from_coefficients(f.degree, (c * a for a in f.coefficients))
 
 
 def _expanded(fact: Factorization) -> BinaryForm:
-    return fact.content * _product(g**m for g, m in fact.factors)
+    return _scaled(_product(g for g, m in fact.factors for _ in range(m)), fact.content)
 
 
 SMALL_PRIMES_PRODUCT = math.prod(forms._SMALL_PRIMES)
@@ -284,7 +296,7 @@ def test_factor_products_of_linear_forms_without_zassenhaus(zassenhaus_calls):
     for _ in range(150):
         linear = [_random_form(rng, 1, rng.choice([2, 8, 40]))
                   for _ in range(rng.randint(2, 12))]
-        f = _product(linear) * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        f = _scaled(_product(linear), Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
         assert factor_over_rationals(f) == zassenhaus_reference(f), f
     assert zassenhaus_calls == []
 
@@ -322,7 +334,7 @@ def test_factor_non_squarefree_forms():
     rng = random.Random(9005)
     for _ in range(80):
         pieces = [_random_form(rng, rng.randint(1, 3), 5) for _ in range(rng.randint(1, 3))]
-        f = _product(p ** rng.randint(1, 4) for p in pieces)
+        f = _product(p for p in pieces for _ in range(rng.randint(1, 4)))
         assert factor_over_rationals(f) == zassenhaus_reference(f), f
 
 
@@ -330,16 +342,18 @@ def test_factor_forms_with_powers_of_x_and_y():
     rng = random.Random(9006)
     for _ in range(60):
         kx, ky = rng.randint(0, 3), rng.randint(1, 4)
-        f = form("x", 1) ** kx * form("y", 1) ** ky * _random_form(rng, rng.randint(1, 6), 10)
+        f = _product([form("x", 1)] * kx + [form("y", 1)] * ky
+                     + [_random_form(rng, rng.randint(1, 6), 10)])
         assert factor_over_rationals(f) == zassenhaus_reference(f), f
 
 
 def test_factor_coefficients_past_the_int_str_limit():
     rng = random.Random(9007)
     huge = 10**4400 + 3
+    linear = BinaryForm.from_coefficients(1, [huge, 3])
     cases = [
-        form("x", 1) * huge + form("3*y", 1),
-        (form("x", 1) * huge + form("3*y", 1)) * form("x^2+7*y^2", 2) * huge,
+        linear,
+        _scaled(_product([linear, form("x^2+7*y^2", 2)]), huge),
         BinaryForm.from_coefficients(2, [huge, 0, 27 * huge**2 + 1]),
     ]
     for degree in (3, 5):
@@ -381,6 +395,14 @@ def test_valuation_rejects_bad_places():
         _valuation_at_irreducible(form("x^2", 2), form("x*y", 2))
     with pytest.raises(ValueError):
         _valuation_at_irreducible(form("x^2", 2), form("2*y", 1))
+
+
+def test_valuation_rejects_a_constant_place():
+    # every power of a unit divides f, so no largest one exists
+    with pytest.raises(ValueError):
+        _valuation_at_irreducible(form("x^2+y^2", 2), form("3", 0))
+    with pytest.raises(ValueError):
+        _valuation_at_irreducible(BinaryForm.zero(2), form("1", 0))
 
 
 def test_valuation_scale_invariant_in_place():
@@ -437,12 +459,12 @@ def test_squarefree_parts_are_squarefree_and_coprime(f):
 
 @given(nonzero_forms, nonzero_forms, binary_forms(max_degree=2).filter(lambda f: not f.is_zero),
        st.integers(min_value=0, max_value=2))
-@example(BinaryForm(2, (0, 1, 0)), BinaryForm(2, (0, 0, 1)), BinaryForm.constant(1), 0)  # y
+@example(BinaryForm(2, (0, 1, 0)), BinaryForm(2, (0, 0, 1)), BinaryForm(0, (1,)), 0)  # y
 @example(BinaryForm(1, (0, 1)), BinaryForm(2, (1, 0, 1)), BinaryForm(1, (0, 1)), 2)  # y^2
 @settings(max_examples=120, derandomize=True, deadline=None)
 def test_gcd_divides_and_is_maximal(a, b, c, k):
     # random forms are almost always coprime; a shared c^k makes maximality bite
-    a, b = a * c**k, b * c**k
+    a, b = _product([a] + [c] * k), _product([b] + [c] * k)
     g = form_gcd(a, b)
     ga = bruteforce.try_divide(tuple(c for c in a.coefficients), tuple(g.coefficients))
     gb = bruteforce.try_divide(tuple(c for c in b.coefficients), tuple(g.coefficients))

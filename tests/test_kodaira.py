@@ -293,16 +293,21 @@ def _special_place(rng):
         3, [1, 0, rng.randint(-2, 2), rng.choice((2, 3, 5))])
 
 
+def _form(coefficients):
+    return BinaryForm.from_coefficients(len(coefficients) - 1, coefficients)
+
+
 def _power_product(rng, p, e, degree):
     """A small constant times p^e times powers of small forms, of the degree."""
-    f = rng.choice((-3, -2, -1, 1, 2, 3)) * p**e
+    f = bruteforce.poly_scale(rng.choice((-3, -2, -1, 1, 2, 3)),
+                              bruteforce.poly_pow(p.coefficients, e))
     rest = degree - e * p.degree
     while rest:
         d = rng.randint(1, min(rest, 3))
         k = rng.randint(1, rest // d)
-        f = f * _small_form(rng, d) ** k
+        f = bruteforce.poly_mul(f, bruteforce.poly_pow(_small_form(rng, d).coefficients, k))
         rest -= d * k
-    return f
+    return _form(f)
 
 
 def structured_pair(rng):
@@ -318,9 +323,13 @@ def structured_pair(rng):
         s = rng.choice((1, 2, -1))
         a = _small_form(rng, 2 - m)
         r = _small_form(rng, 6 - (3 * m + k) * p.degree)
-        f4 = -3 * s**2 * a**2 * p ** (2 * m)
-        f6 = 2 * s**3 * a**3 * p ** (3 * m) + p ** (3 * m + k) * r
-        return f4, f6
+        mul, power = bruteforce.poly_mul, bruteforce.poly_pow
+        a, p, r = a.coefficients, p.coefficients, r.coefficients
+        f4 = bruteforce.poly_scale(-3 * s**2, mul(power(a, 2), power(p, 2 * m)))
+        f6 = bruteforce.poly_add(
+            bruteforce.poly_scale(2 * s**3, mul(power(a, 3), power(p, 3 * m))),
+            mul(power(p, 3 * m + k), r))
+        return _form(f4), _form(f6)
     f4 = _power_product(rng, p, rng.randint(0, 4 // p.degree), 4)
     f6 = _power_product(rng, p, rng.randint(0, 6 // p.degree), 6)
     zero = rng.random()

@@ -128,9 +128,8 @@ def test_no_implicit_multiplication():
 def test_precedence_power_over_product_over_sum():
     # 2*x^2*y^4 - x^6 has a well-defined reading; compare against explicit forms
     p = parse_binary_form("2*x^2*y^4 - x^6", 6)
-    expected = 2 * form("x^2", 2) * form("y^4", 4) - form("x^6", 6)
-    assert p == expected
-    assert parse_binary_form("-x^2*y", 3) == -form("x^2", 2) * form("y", 1)
+    assert p == BinaryForm(6, (-1, 0, 0, 0, 2, 0, 0))  # x-major: x^6, ..., y^6
+    assert parse_binary_form("-x^2*y", 3) == BinaryForm(3, (0, -1, 0, 0))
 
 
 def test_parse_binary_form_zero_and_degree_checks():

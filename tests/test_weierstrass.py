@@ -20,7 +20,7 @@ from delpezzo.errors import (
     ZeroDiscriminantError,
 )
 from delpezzo.catalog import witness_catalog
-from delpezzo.forms import BinaryForm
+from delpezzo.forms import Y_FORM, BinaryForm
 from delpezzo.kodaira import classify_fibration
 from perfbench import workloads
 from delpezzo.sextic import (
@@ -43,13 +43,28 @@ def form(text, degree):
     return parse_binary_form(text, degree)
 
 
+def _form(coefficients) -> BinaryForm:
+    return BinaryForm.from_coefficients(len(coefficients) - 1, coefficients)
+
+
+def _parts(f4: BinaryForm, f6: BinaryForm) -> tuple[tuple, tuple]:
+    """f4^3 and f6^2 by the oracle's convolution, x-major."""
+    return bruteforce.poly_pow(f4.coefficients, 3), bruteforce.poly_pow(f6.coefficients, 2)
+
+
+def _delta(f4: BinaryForm, f6: BinaryForm) -> BinaryForm:
+    """-16 (4 f4^3 + 27 f6^2) by the oracle's convolution."""
+    cube, square = _parts(f4, f6)
+    return _form([-16 * (4 * c + 27 * s) for c, s in zip(cube, square)])
+
+
 def j_of(f4, f6):
     """j as weierstrass_data computes it, or from f4^3 and f6^2 alone for a
     pair it rejects as non-minimal."""
     try:
         return weierstrass_data(f4, f6).j
     except NonMinimalError:
-        return _j_from_parts(f4**3, f6**2)
+        return _j_from_parts(*(list(reversed(part)) for part in _parts(f4, f6)))
 
 
 # -- reduction -----------------------------------------------------------------
@@ -76,8 +91,8 @@ def test_reduce_three_root_family_a3_recorded_oracle():
     # a = 3: f4 = -(a^2-a+1)/3 x^2y^2 = -7/3 x^2y^2,
     #        f6 = (1+a)(2a-1)(a-2)/27 x^3y^3 = 20/27 x^3y^3
     wd = reduce_to_short(parse_sextic("w^2 = z*(z+x*y)*(z+3*x*y)"))
-    assert wd.f4 == Fraction(-7, 3) * form("x^2*y^2", 4)
-    assert wd.f6 == Fraction(20, 27) * form("x^3*y^3", 6)
+    assert wd.f4 == form("-7/3*x^2*y^2", 4)
+    assert wd.f6 == form("20/27*x^3*y^3", 6)
     assert wd.j.constant and wd.j.value == Fraction(21952, 9)
 
 
@@ -111,8 +126,7 @@ def test_discriminant_vs_bare_cubic_discriminant():
     f4 = form("-3*(x-y)*x*y^2", 4)
     f6 = form("2*(x-y)*x^2*y^3", 6)
     delta = weierstrass_data(f4, f6).delta
-    bare = form("-108*(x-y)^2*x^3*y^7", 12)
-    assert delta == 16 * bare
+    assert delta == form("16*(-108)*(x-y)^2*x^3*y^7", 12)
 
 
 def test_discriminant_pure_sextic():
@@ -124,20 +138,21 @@ def test_discriminant_zero_rejected():
     with pytest.raises(ZeroDiscriminantError):
         weierstrass_data(BinaryForm.zero(4), BinaryForm.zero(6))
     # 4 f4^3 = -27 f6^2 with both nonzero: f4 = -3u^2, f6 = 2u^3
-    u = form("x*y", 2)
     with pytest.raises(ZeroDiscriminantError):
-        weierstrass_data(-3 * (u * u), 2 * (u * u * u))
+        weierstrass_data(form("-3*x^2*y^2", 4), form("2*x^3*y^3", 6))
     with pytest.raises(ZeroDiscriminantError):
-        weierstrass_data(Fraction(1, 4) * (-3 * (u * u)), Fraction(1, 8) * (2 * (u * u * u)))
+        weierstrass_data(form("-3/4*x^2*y^2", 4), form("1/4*x^3*y^3", 6))
 
 
 def test_j_undefined_when_discriminant_vanishes_with_both_forms_nonzero():
     # 4 f4^3 + 27 f6^2 = 0 makes the j formula divide by zero;
     # weierstrass_data rejects the pair before it reads j
-    u = form("x*y", 2)
-    for f4, f6 in ((-3 * (u * u), 2 * (u * u * u)), (-3 * (u * u) * 4, 2 * (u * u * u) * 8)):
+    # the kernel lists of f4^3 and f6^2 for f4 = -3 (xy)^2, f6 = 2 (xy)^3,
+    # then for 4 f4 and 8 f6
+    xy6 = [0] * 6 + [1] + [0] * 6
+    for scale in (1, 64):
         with pytest.raises(ZeroDiscriminantError):
-            _j_from_parts(f4**3, f6**2)
+            _j_from_parts([-27 * scale * c for c in xy6], [4 * scale * c for c in xy6])
 
 
 # -- j invariant ---------------------------------------------------------------------
@@ -165,13 +180,12 @@ def test_j_constancy_matches_linear_dependence():
     for _ in range(40):
         f4 = BinaryForm.from_coefficients(4, [rng.randint(-5, 5) for _ in range(5)])
         f6 = BinaryForm.from_coefficients(6, [rng.randint(-5, 5) for _ in range(7)])
-        if (4 * f4**3 + 27 * f6**2).is_zero:
+        if _delta(f4, f6).is_zero:
             continue
-        cube, square = f4**3, f6**2
+        cube, square = _parts(f4, f6)
         # rank of the 2 x 13 coefficient matrix <= 1 iff all 2x2 minors vanish
         dependent = all(
-            cube.coefficients[i] * square.coefficients[k]
-            == cube.coefficients[k] * square.coefficients[i]
+            cube[i] * square[k] == cube[k] * square[i]
             for i in range(13)
             for k in range(i + 1, 13)
         )
@@ -324,33 +338,38 @@ def test_reduction_invariance_under_coordinate_changes():
 
 
 def _three_stage_reduction(sextic: GeneralSextic):
-    """(f4, f6) by completing the square, rescaling and depressing the cubic."""
+    """(f4, f6) by completing the square, rescaling and depressing the cubic,
+    on x-major coefficient tuples with the oracle's arithmetic."""
+    mul, add, scale = bruteforce.poly_mul, bruteforce.poly_add, bruteforce.poly_scale
+    wz, w, z2, z, z0 = (f.coefficients for f in (
+        sextic.c_wz, sextic.c_w, sextic.c_z2, sextic.c_z, sextic.c_0))
     a = sextic.c_w2
     # w -> w - (c_wz z + c_w) / (2 c_w2) removes the w z and w terms
     quarter = Fraction(1, 4) / a
-    cz2 = sextic.c_z2 - quarter * (sextic.c_wz * sextic.c_wz)
-    cz = sextic.c_z - (2 * quarter) * (sextic.c_wz * sextic.c_w)
-    c0 = sextic.c_0 - quarter * (sextic.c_w * sextic.c_w)
+    cz2 = add(z2, scale(-quarter, mul(wz, wz)))
+    cz = add(z, scale(-2 * quarter, mul(wz, w)))
+    c0 = add(z0, scale(-quarter, mul(w, w)))
     # a w^2 = b z^3 - cz2 z^2 - cz z - c0; z -> (a b) z, w -> (a b^2) w
     b = -sextic.c_z3
-    c2 = -cz2 * Fraction(1, a * b**2)
-    c4 = -cz * Fraction(1, a**2 * b**3)
-    c6 = -c0 * Fraction(1, a**3 * b**4)
+    c2 = scale(-Fraction(1, a * b**2), cz2)
+    c4 = scale(-Fraction(1, a**2 * b**3), cz)
+    c6 = scale(-Fraction(1, a**3 * b**4), c0)
     # z -> z - c2 / 3
-    f4 = c4 - Fraction(1, 3) * (c2 * c2)
-    f6 = c6 - Fraction(1, 3) * (c2 * c4) + Fraction(2, 27) * (c2 * c2 * c2)
-    return f4, f6
+    f4 = add(c4, scale(Fraction(-1, 3), mul(c2, c2)))
+    f6 = add(c6, scale(Fraction(-1, 3), mul(c2, c4)),
+             scale(Fraction(2, 27), mul(mul(c2, c2), c2)))
+    return _form(f4), _form(f6)
 
 
 def _ratio_j(f4: BinaryForm, f6: BinaryForm) -> JInvariant:
     """j with one Fraction per coefficient of f4^3 / f6^2."""
-    cube, square = f4**3, f6**2
-    if cube.is_zero:
+    cube, square = _parts(f4, f6)
+    if not any(cube):
         return JInvariant(True, 0)
-    if square.is_zero:
+    if not any(square):
         return JInvariant(True, 1728)
     ratio = None
-    for a, b in zip(cube.coefficients, square.coefficients):
+    for a, b in zip(cube, square):
         if b == 0:
             if a != 0:
                 return JInvariant(False)
@@ -420,7 +439,7 @@ def test_j_matches_ratio_reference():
     pairs += [structured_pair(rng) for _ in range(1000)]
     kinds = Counter()
     for f4, f6 in pairs:
-        if (4 * f4**3 + 27 * f6**2).is_zero:  # no j
+        if _delta(f4, f6).is_zero:  # no j
             continue
         expected, got = _ratio_j(f4, f6), j_of(f4, f6)
         assert got == expected and type(got.value) is type(expected.value)
@@ -443,12 +462,14 @@ def test_weierstrass_data_is_invariant_under_rational_scaling():
     rng = random.Random(20261018)
     pairs = [structured_pair(rng) for _ in range(300)]
     for _ in range(20):  # 4 f4^3 + 27 f6^2 = 0, also with f4 = f6 = 0
-        t = BinaryForm.from_coefficients(2, [rng.randint(-2, 2) for _ in range(3)])
-        pairs.append((-3 * t**2, 2 * t**3))
+        t = [rng.randint(-2, 2) for _ in range(3)]
+        pairs.append((_form(bruteforce.poly_scale(-3, bruteforce.poly_pow(t, 2))),
+                      _form(bruteforce.poly_scale(2, bruteforce.poly_pow(t, 3)))))
     outcomes = Counter()
     for f4, f6 in pairs:
         u = Fraction(rng.choice((1, -1)) * rng.randint(1, 30), rng.randint(1, 30))
-        g4, g6 = f4 * u**4, f6 * u**6
+        g4 = _form(bruteforce.poly_scale(u**4, f4.coefficients))
+        g6 = _form(bruteforce.poly_scale(u**6, f6.coefficients))
         base, scaled = _outcome(f4, f6), _outcome(g4, g6)
         if not isinstance(base, WeierstrassData):
             assert scaled == base
@@ -457,7 +478,7 @@ def test_weierstrass_data_is_invariant_under_rational_scaling():
         assert scaled.f4 is g4 and scaled.f6 is g6
         assert scaled.split == base.split
         assert scaled.j == base.j and type(scaled.j.value) is type(base.j.value)
-        assert _typed(scaled.delta) == _typed(-16 * (4 * g4**3 + 27 * g6**2))
+        assert _typed(scaled.delta) == _typed(_delta(g4, g6))
         integral = all(isinstance(c, int) for c in g4.coefficients + g6.coefficients)
         outcomes["integral" if integral else "fractional"] += 1
     assert min(outcomes[k] for k in ("integral", "fractional", "NonMinimalError",
@@ -468,38 +489,41 @@ def _int_form(form: BinaryForm) -> bool:
     return all(type(c) is int for c in form.coefficients)
 
 
+def _int_list(value) -> bool:
+    return type(value) is list and all(type(c) is int for c in value)
+
+
 def test_reduction_and_split_run_on_ints(monkeypatch):
+    """Everything between the cleared slots and the split is a list of
+    exact ints; the only forms reduce_to_short builds are the public ones."""
     lines = [w.equation for w in witness_catalog()]
     lines += [c.text for c in itertools.islice(workloads.transformed_cases(29), 100)]
     built, reached, fractional = [], Counter(), 0
     post_init = BinaryForm.__post_init__
 
     def recorded(name, original):
-        def call(*forms):
+        def call(*args):
             reached[name] += 1
-            assert all(_int_form(f) for f in forms), (name, text)
-            return original(*forms)
+            assert all(_int_list(a) for a in args), (name, text)
+            return original(*args)
         return call
 
+    monkeypatch.setattr(BinaryForm, "__post_init__",
+                        lambda form: (built.append(form), post_init(form))[1])
+    for name in ("_u_mul", "_discriminant_from_parts", "_j_from_parts", "_split"):
+        monkeypatch.setattr(weierstrass, name, recorded(name, getattr(weierstrass, name)))
     for text in lines:
         sextic = parse_sextic(text)
-        with monkeypatch.context() as patch:
-            patch.setattr(BinaryForm, "__post_init__",
-                          lambda form: (built.append(form), post_init(form))[1])
-            patch.setattr(weierstrass, "weierstrass_data", lambda f4, f6: (f4, f6))
-            try:
-                f4, f6 = reduce_to_short(sextic)
-            except InvalidSurfaceError:  # no w^2 or no z^3 term
-                continue
-        # every form reduce_to_short builds before its two divisions is an int form
-        assert all(_int_form(f) for f in built if f is not f4 and f is not f6), text
         built.clear()
-        fractional += not (_int_form(f4) and _int_form(f6))
-        with monkeypatch.context() as patch:
-            for name in ("_discriminant_from_parts", "_j_from_parts", "_split"):
-                patch.setattr(weierstrass, name, recorded(name, getattr(weierstrass, name)))
-            try:
-                weierstrass_data(f4, f6)
-            except InvalidSurfaceError:
-                pass
-    assert fractional >= 30 and reached["_split"] >= 90, (fractional, reached)
+        try:
+            data = reduce_to_short(sextic)
+        except InvalidSurfaceError:
+            # at most f4, f6, delta and the one piece of a non-minimal split
+            assert len(built) <= 4, text
+            continue
+        public = [data.f4, data.f6, data.delta]
+        public += [piece for piece, *_ in data.split if piece is not Y_FORM]
+        assert sorted(map(id, built)) == sorted(map(id, public)), text
+        fractional += not (_int_form(data.f4) and _int_form(data.f6))
+    assert len(reached) == 4 and fractional >= 30 and reached["_split"] >= 90, (
+        fractional, reached)
