@@ -93,10 +93,6 @@ class BinaryForm:
     def from_coefficients(degree: int, coefficients) -> "BinaryForm":
         return BinaryForm(degree, tuple(_exact(c) for c in coefficients))
 
-    @staticmethod
-    def zero(degree: int) -> "BinaryForm":
-        return BinaryForm(degree, (0,) * (degree + 1))
-
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)

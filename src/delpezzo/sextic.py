@@ -21,7 +21,8 @@ sums the integer numerators over one common denominator.  Anything else
 (parentheses, ``=``, unary minus after an operator, a number after ``*``, a
 constant term, a term above the degree limit, any error) goes to the
 recursive descent parser on the same tokens, so errors and their positions
-are always the parser's.  Both paths give the same terms in the same order.
+are always the parser's.  Both paths give the same rational terms in the
+same order.
 
 The parser expands as it reads.  A sum accumulates its terms in place in
 one dict, a product with a single term shifts the monomials of the other
@@ -29,11 +30,14 @@ factor in one pass, and a power of a single term is one monomial.  Each
 intermediate carries its weighted degree, so the degree limit costs no pass
 over its terms (only a sum in which a monomial cancels is measured again).
 
-Coefficients follow the rule of :mod:`delpezzo.forms`: an ``int`` when the
-value is integral, a ``Fraction`` only when it is not, never a float.  An
-integer literal is an ``int`` and only ``p/q`` makes a ``Fraction``; sums
-and products of ints stay ints.  :func:`parse_polynomial` normalizes what it
-returns, so an integral value reached through ``p/q`` is an ``int`` there.
+Denominators are cleared once, here.  :func:`parse_polynomial` returns
+``(den, terms)``: an int ``den > 0`` and int numerators, the polynomial
+being the sum of ``c * m / den``.  The flat path sums over the lcm of its
+literal denominators, the recursive path clears its rationals with one lcm,
+so the two may pick different ``den`` for one polynomial; any ``den`` is
+valid.  :class:`GeneralSextic` keeps the pair, and the reduction reads its
+ints as they are.  Only the ``p/q`` literals and the recursive parser's
+intermediates are ``Fraction`` values; nothing is ever a float.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EquationError, NotHomogeneousError, UnknownVariableError
-from .forms import BinaryForm, _exact
+from .forms import BinaryForm
 
 WEIGHTS = {"x": 1, "y": 1, "z": 2, "w": 3}
 
@@ -130,18 +134,11 @@ class Poly:
 
     __slots__ = ("terms", "_degree")
 
-    def __init__(self, terms: dict[Monomial, int | Fraction] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
-        self._degree: int | None = None
-
-    @staticmethod
-    def _nonzero(terms: dict[Monomial, int | Fraction], degree: int | None = None) -> "Poly":
+    def __init__(self, terms: dict[Monomial, int | Fraction], degree: int | None = None):
         """A Poly of terms that are known to be nonzero, without a copy;
         ``degree``, when given, is their weighted degree."""
-        poly = Poly.__new__(Poly)
-        poly.terms = terms
-        poly._degree = degree
-        return poly
+        self.terms = terms
+        self._degree = degree
 
     def _accumulate(self, other: "Poly", negate: bool) -> None:
         """self += other (self -= other when negate), in place; a monomial
@@ -164,26 +161,16 @@ class Poly:
 
     @staticmethod
     def constant(value: int | Fraction) -> "Poly":
-        return Poly._nonzero({(0, 0, 0, 0): value} if value else {}, 0)
+        return Poly({(0, 0, 0, 0): value} if value else {}, 0)
 
     @staticmethod
     def variable(name: str) -> "Poly":
         exps = [0, 0, 0, 0]
         exps["xyzw".index(name)] = 1
-        return Poly._nonzero({tuple(exps): 1}, WEIGHTS[name])
-
-    def __add__(self, other: "Poly") -> "Poly":
-        result = Poly._nonzero(dict(self.terms), self._degree)
-        result._accumulate(other, negate=False)
-        return result
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        result = Poly._nonzero(dict(self.terms), self._degree)
-        result._accumulate(other, negate=True)
-        return result
+        return Poly({tuple(exps): 1}, WEIGHTS[name])
 
     def __neg__(self) -> "Poly":
-        return Poly._nonzero({m: -c for m, c in self.terms.items()}, self._degree)
+        return Poly({m: -c for m, c in self.terms.items()}, self._degree)
 
     def __mul__(self, other: "Poly") -> "Poly":
         # the top homogeneous parts of two nonzero factors have a nonzero
@@ -194,7 +181,7 @@ class Poly:
             self, other = other, self
         if len(self.terms) == 1:  # one term: shift the monomials, no sums
             ((m1, c1),) = self.terms.items()
-            return Poly._nonzero({
+            return Poly({
                 (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3]): c1 * c2
                 for m2, c2 in other.terms.items()
             }, degree)
@@ -203,13 +190,13 @@ class Poly:
             for m2, c2 in other.terms.items():
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
                 terms[m] = terms.get(m, 0) + c1 * c2
-        return Poly._nonzero({m: c for m, c in terms.items() if c}, degree)
+        return Poly({m: c for m, c in terms.items() if c}, degree)
 
     def __pow__(self, exponent: int) -> "Poly":
         if len(self.terms) == 1 and exponent:
             ((m, c),) = self.terms.items()
-            return Poly._nonzero({tuple(e * exponent for e in m): c**exponent},
-                                 self.weighted_degree * exponent)
+            return Poly({tuple(e * exponent for e in m): c**exponent},
+                        self.weighted_degree * exponent)
         result = Poly.constant(1)
         base = self
         while exponent:
@@ -357,10 +344,11 @@ class _Parser:
 _FACTOR = {name: ("xyzw".index(name), weight) for name, weight in WEIGHTS.items()}
 
 
-def _flat_sum(tokens: list[_Token]) -> dict[Monomial, int | Fraction] | None:
-    """The terms of a flat sum ``[+-][p[/q]*]v[^k]*... +- ...``, exactly as
-    the parser collects them (order, cancellations and number types
-    included), or None for any other token list.
+def _flat_sum(tokens: list[_Token]) -> tuple[int, dict[Monomial, int]] | None:
+    """``(den, terms)`` of a flat sum ``[+-][p[/q]*]v[^k]*... +- ...``: den
+    the lcm of its literal denominators and terms the int numerators over
+    it, in the parser's order and with its cancellations; None for any
+    other token list.
 
     Each term has one sign at most (the first may have none), one number at
     most, before its first variable, and plain int exponents; a term above
@@ -412,7 +400,7 @@ def _flat_sum(tokens: list[_Token]) -> dict[Monomial, int | Fraction] | None:
         if kind != "+" and kind != "-":
             return None
     # sum the numerators over the common denominator, in the parser's order
-    terms: dict[Monomial, int | Fraction] = {}
+    terms: dict[Monomial, int] = {}
     for monomial, c in collected:
         if type(c) is int:
             c *= denominator
@@ -426,26 +414,25 @@ def _flat_sum(tokens: list[_Token]) -> dict[Monomial, int | Fraction] | None:
             terms[monomial] = c
         else:
             del terms[monomial]
-    if denominator != 1:
-        for monomial, c in terms.items():
-            terms[monomial] = (c // denominator if not c % denominator
-                               else Fraction(c, denominator))
-    return terms
+    return denominator, terms
 
 
-def parse_polynomial(text: str) -> Poly:
-    """Parse to an expanded polynomial in x, y, z, w (no degree checks)."""
+def parse_polynomial(text: str) -> tuple[int, dict[Monomial, int]]:
+    """Parse to an expanded polynomial in x, y, z, w (no degree checks):
+    ``(den, terms)``, the int numerators of its nonzero terms over one
+    denominator ``den > 0``."""
     if not text.strip():
         raise EquationError("empty input", 0)
     tokens = _tokenize(text)
-    terms = _flat_sum(tokens)
-    if terms is None:
-        try:
-            poly = _Parser(tokens).parse_equation()
-        except RecursionError:
-            raise EquationError("expression nested too deeply") from None
-        terms = {m: _exact(c) for m, c in poly.terms.items()}
-    return Poly._nonzero(terms)
+    flat = _flat_sum(tokens)
+    if flat is not None:
+        return flat
+    try:
+        terms = _Parser(tokens).parse_equation().terms
+    except RecursionError:
+        raise EquationError("expression nested too deeply") from None
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
 
 
 # -- the general sextic ------------------------------------------------------------
@@ -453,19 +440,21 @@ def parse_polynomial(text: str) -> Poly:
 
 @dataclass(frozen=True)
 class GeneralSextic:
-    """c_w2*w^2 + c_wz*w*z + c_w*w + c_z3*z^3 + c_z2*z^2 + c_z*z + c_0,
+    """(c_w2*w^2 + c_wz*w*z + c_w*w + c_z3*z^3 + c_z2*z^2 + c_z*z + c_0) / den,
     the general form of weighted degree 6 in P(1,1,2,3).
 
-    The scalars and the form coefficients are ints when integral and
-    non-integral Fractions otherwise; the parser never makes a float."""
+    Every field is an int or a tuple of ints, den > 0.  A form slot of
+    degree d holds d + 1 ints in the kernel order of :mod:`delpezzo.forms`:
+    entry i is the coefficient of x^i y^(d-i)."""
 
-    c_w2: int | Fraction
-    c_wz: BinaryForm  # degree 1
-    c_w: BinaryForm  # degree 3
-    c_z3: int | Fraction
-    c_z2: BinaryForm  # degree 2
-    c_z: BinaryForm  # degree 4
-    c_0: BinaryForm  # degree 6
+    den: int
+    c_w2: int
+    c_wz: tuple[int, ...]  # degree 1
+    c_w: tuple[int, ...]  # degree 3
+    c_z3: int
+    c_z2: tuple[int, ...]  # degree 2
+    c_z: tuple[int, ...]  # degree 4
+    c_0: tuple[int, ...]  # degree 6
 
 
 def _monomial_str(m: Monomial) -> str:
@@ -478,50 +467,34 @@ def _monomial_str(m: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-_SLOT_DEGREES = {(0, 2): 0, (1, 1): 1, (0, 1): 3, (3, 0): 0, (2, 0): 2, (1, 0): 4, (0, 0): 6}
-
-
 def parse_sextic(text: str) -> GeneralSextic:
     """Parse an equation into its GeneralSextic normal form.
 
     Every monomial is required to have weighted degree exactly 6; anything
     else is rejected monomial-by-monomial with the offending term named.
     """
-    return sextic_from_polynomial(parse_polynomial(text))
+    return sextic_from_polynomial(*parse_polynomial(text))
 
 
-def sextic_from_polynomial(poly: Poly) -> GeneralSextic:
-    """Collect an expanded polynomial into the GeneralSextic slots."""
-    if not poly.terms:
+def sextic_from_polynomial(den: int, terms: dict[Monomial, int]) -> GeneralSextic:
+    """Collect the ``(den, terms)`` of :func:`parse_polynomial` into the
+    GeneralSextic slots."""
+    if not terms:
         raise NotHomogeneousError("the zero polynomial does not define a surface")
-    slots: dict[tuple[int, int], dict[tuple[int, int], int | Fraction]] = {
-        key: {} for key in _SLOT_DEGREES
-    }
-    for m, c in poly.terms.items():
-        dx, dy, dz, dw = m
+    # (z, w) exponents -> the kernel list of the slot, of degree 6 - 2z - 3w
+    slots = {(dz, dw): [0] * (7 - 2 * dz - 3 * dw)
+             for dz, dw in ((0, 2), (1, 1), (0, 1), (3, 0), (2, 0), (1, 0), (0, 0))}
+    for m, c in terms.items():
+        dx, _, dz, dw = m
         weighted = _weighted_degree(m)
         if weighted != 6:
             raise NotHomogeneousError(
                 f"monomial {_monomial_str(m)} has weighted degree {weighted}, not 6"
             )
-        slots[(dz, dw)][(dx, dy)] = c
-
-    def form_of(zw: tuple[int, int]) -> BinaryForm:
-        degree = _SLOT_DEGREES[zw]
-        coeffs = [0] * (degree + 1)
-        for (dx, dy), c in slots[zw].items():
-            coeffs[dy] = c  # dx + dy = degree, entry i holds x^(degree-i) y^i
-        return BinaryForm.from_coefficients(degree, coeffs)
-
-    return GeneralSextic(
-        c_w2=_exact(slots[(0, 2)].get((0, 0), 0)),
-        c_wz=form_of((1, 1)),
-        c_w=form_of((0, 1)),
-        c_z3=_exact(slots[(3, 0)].get((0, 0), 0)),
-        c_z2=form_of((2, 0)),
-        c_z=form_of((1, 0)),
-        c_0=form_of((0, 0)),
-    )
+        slots[(dz, dw)][dx] = c
+    (c_w2,), c_wz, c_w, (c_z3,), c_z2, c_z, c_0 = slots.values()
+    return GeneralSextic(den, c_w2, tuple(c_wz), tuple(c_w), c_z3,
+                         tuple(c_z2), tuple(c_z), tuple(c_0))
 
 
 def parse_binary_form(text: str, degree: int) -> BinaryForm:
@@ -530,9 +503,9 @@ def parse_binary_form(text: str, degree: int) -> BinaryForm:
     ``0`` (and any expression collapsing to zero) parses to the zero form of
     the requested degree.
     """
-    poly = parse_polynomial(text)
+    den, terms = parse_polynomial(text)
     coeffs = [0] * (degree + 1)
-    for m, c in poly.terms.items():
+    for m, c in terms.items():
         dx, dy, dz, dw = m
         if dz or dw:
             raise UnknownVariableError(
@@ -543,4 +516,4 @@ def parse_binary_form(text: str, degree: int) -> BinaryForm:
                 f"monomial {_monomial_str(m)} has degree {dx + dy}, expected {degree}"
             )
         coeffs[dy] = c
-    return BinaryForm.from_coefficients(degree, coeffs)
+    return BinaryForm.from_coefficients(degree, (Fraction(c, den) for c in coeffs))

@@ -12,13 +12,14 @@ rationals; valuations of (f4, f6, delta) at every place -- hence the whole
 classification -- do not depend on the choices made here.
 
 The work runs on an integral model held as int lists in the kernel order
-of ``forms``; only f4, f6, delta and the split pieces become forms.  A
-rational sextic is scaled once by the lcm of its denominators, which
-leaves one division per form for f4 and f6.  The substitution z -> u^2 z,
-w -> u^3 w scales (f4, f6) to (u^4 f4, u^6 f6) and delta to u^12 delta,
-and changes no valuation, no split and not j, so ``weierstrass_data``
-cubes, squares and splits the integral model with u the lcm of the
-denominators of f4 and f6, and divides delta by u^12 once.
+of ``forms``; only f4, f6, delta and the split pieces become forms.  The
+parser, not this module, clears the sextic: a ``GeneralSextic`` holds int
+slots over one denominator, which leaves one division per form for f4 and
+f6.  The substitution z -> u^2 z, w -> u^3 w scales (f4, f6) to
+(u^4 f4, u^6 f6) and delta to u^12 delta, and changes no valuation, no
+split and not j, so ``weierstrass_data`` cubes, squares and splits the
+integral model with u the lcm of the denominators of f4 and f6, and
+divides delta by u^12 once.
 
 Every verdict is read from the valuation triples (v4, v6, vD) of
 (f4, f6, delta) at the places of the base line.  ``weierstrass_data``
@@ -203,13 +204,10 @@ def reduce_to_short(sextic: GeneralSextic) -> WeierstrassData:
         raise MissingCubeTermError(
             "not in del Pezzo normal form: no z^3 term"
         )
-    # Scaling the sextic by den, the lcm of its denominators, makes every
-    # coefficient an int and divides f4 by den^4 and f6 by den^6.
-    slots = (sextic.c_wz, sextic.c_w, sextic.c_z2, sextic.c_z, sextic.c_0)
-    den = math.lcm(sextic.c_w2.denominator, sextic.c_z3.denominator,
-                   *(c.denominator for f in slots for c in f.coefficients))
-    a, b = (c.numerator * (den // c.denominator) for c in (sextic.c_w2, -sextic.c_z3))
-    c_wz, c_w, c_z2, c_z, c_0 = (_cleared(f, den) for f in slots)
+    # The int fields are den times the sextic, which divides f4 by den^4 and
+    # f6 by den^6.
+    den, a, b = sextic.den, sextic.c_w2, -sextic.c_z3
+    c_wz, c_w, c_z2, c_z, c_0 = sextic.c_wz, sextic.c_w, sextic.c_z2, sextic.c_z, sextic.c_0
     ab = a * b
     # Times 4a the sextic reads
     #   (2a w + c_wz z + c_w)^2 = 4ab z^3 - p z^2 - 2q z - r.

@@ -63,6 +63,47 @@ def poly_scale(c, a: tuple) -> tuple:
     return tuple(c * x for x in a)
 
 
+# -- polynomials in x, y, z, w: dicts {(ex, ey, ez, ew): coefficient} ---------------
+
+
+def _dict_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(i + j for i, j in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def short_sextic(f4: tuple, f6: tuple) -> dict:
+    """w^2 - z^3 - f4 z - f6 for x-major forms f4, f6."""
+    terms = {(0, 0, 0, 2): 1, (0, 0, 3, 0): -1}
+    terms.update({(4 - i, i, 1, 0): -c for i, c in enumerate(f4) if c})
+    terms.update({(6 - i, i, 0, 0): -c for i, c in enumerate(f6) if c})
+    return terms
+
+
+def substituted(poly: dict, alpha, beta, q2: tuple, ell: tuple, h3: tuple, gamma) -> dict:
+    """gamma * poly under w -> beta w + ell z + h3, z -> alpha z + q2, for
+    x-major forms q2, ell, h3."""
+    z_new = {(0, 0, 1, 0): alpha}
+    z_new.update({(2 - i, i, 0, 0): c for i, c in enumerate(q2) if c})
+    w_new = {(0, 0, 0, 1): beta}
+    w_new.update({(1 - i, i, 1, 0): c for i, c in enumerate(ell) if c})
+    w_new.update({(3 - i, i, 0, 0): c for i, c in enumerate(h3) if c})
+    out: dict = {}
+    for (dx, dy, dz, dw), c in poly.items():
+        term = {(dx, dy, 0, 0): c * gamma}
+        for factor in [z_new] * dz + [w_new] * dw:
+            term = _dict_mul(term, factor)
+        for m, t in term.items():
+            out[m] = out.get(m, 0) + t
+    return {m: c for m, c in out.items() if c}
+
+
+# -- division ------------------------------------------------------------------------
+
+
 def _desc_divmod(num: list, den: list):
     """Long division of descending coefficient lists over Q."""
     num = [Fraction(c) for c in num]
@@ -78,12 +119,37 @@ def _desc_divmod(num: list, den: list):
     return out, rem
 
 
+def _int_divide(num: list, den: list) -> list | None:
+    """num / den for descending int lists, or None when den does not divide
+    num over Q.  num is divided by the primitive part of den in integers:
+    a primitive divisor leaves an integer quotient (Gauss's lemma), so the
+    first inexact step proves that den does not divide.  The quotient is
+    then divided by the content of den."""
+    content = math.gcd(*den)
+    prim = [c // content for c in den]
+    num, out = list(num), []
+    for shift in range(len(num) - len(prim) + 1):
+        q, r = divmod(num[shift], prim[0])
+        if r:
+            return None
+        out.append(q)
+        if q:
+            for i, c in enumerate(prim):
+                num[shift + i] -= q * c
+    if any(num[len(out):]):
+        return None
+    return [q // content if q % content == 0 else Fraction(q, content) for q in out]
+
+
 def try_divide(form: tuple, cand: tuple):
     """Exact quotient form/cand as an x-major tuple, or None."""
     vy_f, pf = split_y(form)
     vy_c, pc = split_y(cand)
     if vy_c > vy_f or len(pc) > len(pf):
         return None
+    if all(type(c) is int for c in pf + pc):
+        quo = _int_divide(pf, pc)
+        return None if quo is None else join_y(vy_f - vy_c, quo)
     quo, rem = _desc_divmod(pf, pc)
     if any(c != 0 for c in rem):
         return None

@@ -4,11 +4,11 @@ A definition counts as used when a ``Name`` or ``Attribute`` outside its own
 body, anywhere in ``src/delpezzo``, carries its name (imports do not count),
 when it is public (``delpezzo.__all__`` or ``cli.main``), when the language
 calls it (a dunder method), or when it is on the allowlist below.  Names are
-matched as strings, so the check is coarse: it cannot see that ``.zero`` on
-another class is not ``BinaryForm.zero``.  It catches a helper that only the
-tests call.  An allowlist entry that names no definition, or one the check
-passes without it, is an error too, so the allowlist cannot outlive its
-reasons.
+matched as strings, so the check is coarse: it cannot see that ``.constant``
+on a ``JInvariant`` is not ``Poly.constant``.  It catches a helper that only
+the tests call.  An allowlist entry that names no definition, or one the
+check passes without it, is an error too, so the allowlist cannot outlive
+its reasons.
 """
 
 import ast
@@ -22,8 +22,6 @@ SRC = pathlib.Path(delpezzo.__file__).parent
 ALLOWED = {
     # perfbench traces this name in delpezzo.weierstrass and delpezzo.kodaira
     "forms._valuation_at_irreducible",
-    # the zero form of a degree, a public constructor beside from_coefficients
-    "forms.BinaryForm.zero",
 }
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -74,13 +75,13 @@ def test_gcd_with_pure_power_place():
 
 def test_gcd_with_zero_is_primitive_part():
     f = form("6*x^2 - 9*y^2", 2)
-    assert form_gcd(f, BinaryForm.zero(4)) == form("2*x^2 - 3*y^2", 2)
-    assert form_gcd(BinaryForm.zero(4), f) == form("2*x^2 - 3*y^2", 2)
+    assert form_gcd(f, form("0", 4)) == form("2*x^2 - 3*y^2", 2)
+    assert form_gcd(form("0", 4), f) == form("2*x^2 - 3*y^2", 2)
 
 
 def test_gcd_both_zero_rejected():
     with pytest.raises(ZeroFormError):
-        form_gcd(BinaryForm.zero(1), BinaryForm.zero(2))
+        form_gcd(form("0", 1), form("0", 2))
 
 
 def test_gcd_divides_both():
@@ -145,7 +146,7 @@ def test_y_part_reads_the_power_of_y_from_trailing_zeros():
 def test_squarefree_zero_rejected():
     # the zero form has no dehomogenization, so it never reaches Yun
     with pytest.raises(ZeroFormError):
-        _dehomogenize(BinaryForm.zero(3))
+        _dehomogenize(form("0", 3))
 
 
 # -- irreducible factorization ---------------------------------------------------------
@@ -186,7 +187,7 @@ def test_factor_constant_form():
 
 def test_factor_zero_rejected():
     with pytest.raises(ZeroFormError):
-        factor_over_rationals(BinaryForm.zero(6))
+        factor_over_rationals(form("0", 6))
 
 
 def test_factor_normalization_and_irreducibility():
@@ -382,7 +383,7 @@ def test_rational_str_past_the_int_str_limit():
 def test_valuation_examples():
     v = _valuation_at_irreducible
     assert v(form("x^5*y", 6), form("x", 1)) == 5
-    assert v(BinaryForm.zero(6), form("x", 1)) == INFINITY
+    assert v(form("0", 6), form("x", 1)) == INFINITY
     assert v(form("(x-y)^2*x^3*y^7", 12), form("x-y", 1)) == 2
     assert v(form("(x-y)^2*x^3*y^7", 12), form("y", 1)) == 7
     assert v(form("x^2+y^2", 2), form("x-y", 1)) == 0
@@ -402,7 +403,7 @@ def test_valuation_rejects_a_constant_place():
     with pytest.raises(ValueError):
         _valuation_at_irreducible(form("x^2+y^2", 2), form("3", 0))
     with pytest.raises(ValueError):
-        _valuation_at_irreducible(BinaryForm.zero(2), form("1", 0))
+        _valuation_at_irreducible(form("0", 2), form("1", 0))
 
 
 def test_valuation_scale_invariant_in_place():
@@ -475,6 +476,38 @@ def test_gcd_divides_and_is_maximal(a, b, c, k):
     for p in set(fa) & set(fb):
         want = min(fa[p], fb[p])
         assert bruteforce.multiplicity(as_tuple(p), as_tuple(g)) == want
+
+
+def test_oracle_divides_int_forms_as_over_the_rationals():
+    """bruteforce.try_divide divides int forms in integers and forms of
+    Fractions by long division over Q; both give the same quotient, number
+    types included, or None."""
+    rng = random.Random(20261019)
+    seen = Counter()
+    for _ in range(3000):
+        cand = tuple(rng.randint(-6, 6) for _ in range(rng.randint(2, 4)))
+        if not any(cand):
+            continue
+        cofactor = tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 4)))
+        form = bruteforce.poly_mul(cand, cofactor)
+        if rng.random() < 0.5:  # most often no multiple of cand any more
+            i = rng.randrange(len(form))
+            form = form[:i] + (form[i] + rng.choice((-3, -1, 1, 2)),) + form[i + 1:]
+        if rng.random() < 0.4:
+            cand = bruteforce.poly_scale(rng.choice((2, 3, -4, 6)), cand)
+        if not any(form):
+            continue
+        got = bruteforce.try_divide(form, cand)
+        want = bruteforce.try_divide(tuple(map(Fraction, form)), tuple(map(Fraction, cand)))
+        assert got == want, (form, cand)
+        assert got is None or list(map(type, got)) == list(map(type, want)), (form, cand)
+        lead = next(c for c in cand if c)
+        seen["divides" if got else "does not divide"] += 1
+        seen["fractional quotient"] += bool(got) and any(type(c) is Fraction for c in got)
+        seen["non-primitive"] += math.gcd(*cand) > 1
+        seen["negative lead"] += lead < 0
+        seen["y divides cand"] += cand[0] == 0
+    assert min(seen.values()) >= 100 and len(seen) == 6, seen
 
 
 @given(nonzero_forms)

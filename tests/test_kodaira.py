@@ -334,9 +334,9 @@ def structured_pair(rng):
     f6 = _power_product(rng, p, rng.randint(0, 6 // p.degree), 6)
     zero = rng.random()
     if zero < 0.15:
-        f4 = BinaryForm.zero(4)
+        f4 = form("0", 4)
     elif zero < 0.3:
-        f6 = BinaryForm.zero(6)
+        f6 = form("0", 6)
     return f4, f6
 
 

@@ -290,17 +290,17 @@ def test_coefficients_are_ints_unless_fractional():
     rejected = 0
     for text in cases:
         sextic = parse_sextic(text)
-        assert _int_unless_fractional(sextic.c_w2) and _int_unless_fractional(sextic.c_z3)
-        forms_ = [sextic.c_wz, sextic.c_w, sextic.c_z2, sextic.c_z, sextic.c_0]
+        slots = (sextic.c_wz, sextic.c_w, sextic.c_z2, sextic.c_z, sextic.c_0)
+        assert all(type(c) is int for c in (sextic.den, sextic.c_w2, sextic.c_z3) + sum(slots, ()))
         try:
             data = reduce_to_short(sextic)
         except InvalidSurfaceError:
             rejected += 1
-        else:
-            report = classify_weierstrass(data)
-            assert report.j.value is None or _int_unless_fractional(report.j.value)
-            forms_ += [data.f4, data.f6, data.delta]
-            forms_ += [p.poly for p in report.fibers.places + report.fibers.pieces]
+            continue
+        report = classify_weierstrass(data)
+        assert report.j.value is None or _int_unless_fractional(report.j.value)
+        forms_ = [data.f4, data.f6, data.delta]
+        forms_ += [p.poly for p in report.fibers.places + report.fibers.pieces]
         for f in forms_:
             assert all(_int_unless_fractional(c) for c in f.coefficients), (text, f)
     assert rejected > 0

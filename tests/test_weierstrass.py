@@ -1,5 +1,6 @@
 """Reduction to short form, discriminant, j-invariant, validation."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -25,7 +26,6 @@ from delpezzo.kodaira import classify_fibration
 from perfbench import workloads
 from delpezzo.sextic import (
     GeneralSextic,
-    Poly,
     parse_binary_form,
     parse_sextic,
     sextic_from_polynomial,
@@ -130,13 +130,13 @@ def test_discriminant_vs_bare_cubic_discriminant():
 
 
 def test_discriminant_pure_sextic():
-    delta = weierstrass_data(BinaryForm.zero(4), form("x^5*y", 6)).delta
+    delta = weierstrass_data(form("0", 4), form("x^5*y", 6)).delta
     assert delta == form("-432*x^10*y^2", 12)
 
 
 def test_discriminant_zero_rejected():
     with pytest.raises(ZeroDiscriminantError):
-        weierstrass_data(BinaryForm.zero(4), BinaryForm.zero(6))
+        weierstrass_data(form("0", 4), form("0", 6))
     # 4 f4^3 = -27 f6^2 with both nonzero: f4 = -3u^2, f6 = 2u^3
     with pytest.raises(ZeroDiscriminantError):
         weierstrass_data(form("-3*x^2*y^2", 4), form("2*x^3*y^3", 6))
@@ -159,8 +159,8 @@ def test_j_undefined_when_discriminant_vanishes_with_both_forms_nonzero():
 
 
 def test_j_zero_and_1728():
-    assert weierstrass_data(BinaryForm.zero(4), form("x^5*y", 6)).j == JInvariant(True, 0)
-    assert weierstrass_data(form("x^3*y", 4), BinaryForm.zero(6)).j == JInvariant(True, 1728)
+    assert weierstrass_data(form("0", 4), form("x^5*y", 6)).j == JInvariant(True, 0)
+    assert weierstrass_data(form("x^3*y", 4), form("0", 6)).j == JInvariant(True, 1728)
 
 
 def test_j_constant_neither_special():
@@ -199,7 +199,7 @@ def test_non_minimal_surface_rejected():
     with pytest.raises(NonMinimalError, match="not du Val"):
         reduce_to_short(parse_sextic("w^2 + z^3 + x^6"))
     with pytest.raises(NonMinimalError):
-        weierstrass_data(form("x^4", 4), BinaryForm.zero(6))
+        weierstrass_data(form("x^4", 4), form("0", 6))
     with pytest.raises(NonMinimalError):
         weierstrass_data(form("x^4", 4), form("x^6", 6))
 
@@ -208,7 +208,7 @@ def test_minimal_surfaces_accepted():
     # v4 = 4 alone or v6 = 6 alone is fine when the other side interferes
     wd = weierstrass_data(form("x^4", 4), form("x^5*y", 6))
     assert wd.delta == form("-16*x^10*(4*x^2+27*y^2)", 12)
-    weierstrass_data(form("x^2*y^2", 4), BinaryForm.zero(6))
+    weierstrass_data(form("x^2*y^2", 4), form("0", 6))
 
 
 _SMALL_LINES = [(a, b) for a in range(3) for b in range(-2, 3)
@@ -273,38 +273,10 @@ def test_minimality_matches_bruteforce_linear_factors():
 # -- reduction invariance ------------------------------------------------------------------
 
 
-def _poly_from_short(f4: BinaryForm, f6: BinaryForm) -> Poly:
-    """w^2 - z^3 - f4 z - f6 as an expanded polynomial."""
-    terms = {(0, 0, 0, 2): Fraction(1), (0, 0, 3, 0): Fraction(-1)}
-    for i, c in enumerate(f4.coefficients):
-        if c:
-            terms[(4 - i, i, 1, 0)] = -c
-    for i, c in enumerate(f6.coefficients):
-        if c:
-            terms[(6 - i, i, 0, 0)] = -c
-    return Poly(terms)
-
-
-def _substituted(poly: Poly, alpha, beta, q2, ell, h3, gamma) -> Poly:
-    """Apply w -> beta w + ell z + h3, z -> alpha z + q2, scale by gamma."""
-    z_new = Poly({(0, 0, 1, 0): alpha})
-    for i, c in enumerate(q2.coefficients):
-        if c:
-            z_new = z_new + Poly({(2 - i, i, 0, 0): c})
-    w_new = Poly({(0, 0, 0, 1): beta})
-    for i, c in enumerate(ell.coefficients):
-        if c:
-            w_new = w_new + Poly({(1 - i, i, 1, 0): c})
-    for i, c in enumerate(h3.coefficients):
-        if c:
-            w_new = w_new + Poly({(3 - i, i, 0, 0): c})
-    out = Poly({})
-    for (dx, dy, dz, dw), c in poly.terms.items():
-        term = Poly({(dx, dy, 0, 0): c * gamma})
-        term = term * z_new**dz
-        term = term * w_new**dw
-        out = out + term
-    return out
+def _cleared(poly: dict) -> tuple[int, dict]:
+    """(den, int numerators) of a dict of rational coefficients."""
+    den = math.lcm(*(Fraction(c).denominator for c in poly.values()))
+    return den, {m: int(c * den) for m, c in poly.items()}
 
 
 def test_reduction_invariance_under_coordinate_changes():
@@ -324,10 +296,11 @@ def test_reduction_invariance_under_coordinate_changes():
         q2 = BinaryForm.from_coefficients(2, [rng.randint(-3, 3) for _ in range(3)])
         ell = BinaryForm.from_coefficients(1, [rng.randint(-3, 3) for _ in range(2)])
         h3 = BinaryForm.from_coefficients(3, [rng.randint(-3, 3) for _ in range(4)])
-        scrambled = _substituted(
-            _poly_from_short(f4, f6), alpha, beta, q2, ell, h3, gamma
+        scrambled = bruteforce.substituted(
+            bruteforce.short_sextic(f4.coefficients, f6.coefficients),
+            alpha, beta, q2.coefficients, ell.coefficients, h3.coefficients, gamma,
         )
-        wd2 = reduce_to_short(sextic_from_polynomial(scrambled))
+        wd2 = reduce_to_short(sextic_from_polynomial(*_cleared(scrambled)))
         other = classify_fibration(wd2)
         assert other.entries == base.entries
         assert wd2.j == wd.j
@@ -341,16 +314,20 @@ def _three_stage_reduction(sextic: GeneralSextic):
     """(f4, f6) by completing the square, rescaling and depressing the cubic,
     on x-major coefficient tuples with the oracle's arithmetic."""
     mul, add, scale = bruteforce.poly_mul, bruteforce.poly_add, bruteforce.poly_scale
-    wz, w, z2, z, z0 = (f.coefficients for f in (
+
+    def value(c):  # an int where integral keeps the oracle's arithmetic fast
+        return c // sextic.den if c % sextic.den == 0 else Fraction(c, sextic.den)
+
+    wz, w, z2, z, z0 = (tuple(map(value, reversed(slot))) for slot in (
         sextic.c_wz, sextic.c_w, sextic.c_z2, sextic.c_z, sextic.c_0))
-    a = sextic.c_w2
+    a = value(sextic.c_w2)
     # w -> w - (c_wz z + c_w) / (2 c_w2) removes the w z and w terms
     quarter = Fraction(1, 4) / a
     cz2 = add(z2, scale(-quarter, mul(wz, wz)))
     cz = add(z, scale(-2 * quarter, mul(wz, w)))
     c0 = add(z0, scale(-quarter, mul(w, w)))
     # a w^2 = b z^3 - cz2 z^2 - cz z - c0; z -> (a b) z, w -> (a b^2) w
-    b = -sextic.c_z3
+    b = value(-sextic.c_z3)
     c2 = scale(-Fraction(1, a * b**2), cz2)
     c4 = scale(-Fraction(1, a**2 * b**3), cz)
     c6 = scale(-Fraction(1, a**3 * b**4), c0)
@@ -392,19 +369,22 @@ _SCALARS = (1, -1, 2, -3, 6, Fraction(1, 2), Fraction(-2, 3), Fraction(9, 4))
 
 
 def _random_sextic(rng) -> GeneralSextic:
+    """A sextic of random rational coefficients, cleared by their lcm or by a
+    multiple of it."""
     values = _SLOT_VALUES + (_SLOT_FRACTIONS if rng.random() < 0.4 else ())
 
     def slot(degree, zero_chance=0.1):
         if rng.random() < zero_chance:
-            return BinaryForm.zero(degree)
-        return BinaryForm.from_coefficients(
-            degree, [rng.choice(values) for _ in range(degree + 1)]
-        )
+            return (0,) * (degree + 1)
+        return tuple(rng.choice(values) for _ in range(degree + 1))
 
-    return GeneralSextic(
-        c_w2=rng.choice(_SCALARS), c_wz=slot(1, 0.4), c_w=slot(3, 0.4),
-        c_z3=rng.choice(_SCALARS), c_z2=slot(2), c_z=slot(4), c_0=slot(6),
-    )
+    fields = (rng.choice(_SCALARS), slot(1, 0.4), slot(3, 0.4),
+              rng.choice(_SCALARS), slot(2), slot(4), slot(6))
+    den = math.lcm(*(Fraction(c).denominator for field in fields
+                     for c in (field if type(field) is tuple else (field,))))
+    den *= rng.choice((1, 1, 2, 6))
+    return GeneralSextic(den, *(tuple(int(c * den) for c in field) if type(field) is tuple
+                                else int(field * den) for field in fields))
 
 
 def test_reduction_matches_three_stage_reference(monkeypatch):
@@ -417,14 +397,12 @@ def test_reduction_matches_three_stage_reference(monkeypatch):
         ref4, ref6 = _three_stage_reduction(sextic)
         assert (_typed(f4), _typed(f6)) == (_typed(ref4), _typed(ref6)), sextic
         scalars = (sextic.c_w2, sextic.c_z3)
-        seen["fractional a or b"] += any(isinstance(c, Fraction) for c in scalars)
+        seen["fractional a or b"] += any(c % sextic.den for c in scalars)
         seen["negative a or b"] += any(c < 0 for c in scalars)
-        seen["zero c_wz"] += sextic.c_wz.is_zero
-        seen["zero c_w"] += sextic.c_w.is_zero
+        seen["zero c_wz"] += not any(sextic.c_wz)
+        seen["zero c_w"] += not any(sextic.c_w)
         slots = (sextic.c_wz, sextic.c_w, sextic.c_z2, sextic.c_z, sextic.c_0)
-        integral = all(
-            isinstance(c, int) for c in scalars + sum((f.coefficients for f in slots), ())
-        )
+        integral = not any(c % sextic.den for c in scalars + sum(slots, ()))
         seen["integral sextic"] += integral
         seen["fractional sextic"] += not integral
     assert min(seen.values()) >= 1000 and len(seen) == 6, seen
@@ -490,12 +468,14 @@ def _int_form(form: BinaryForm) -> bool:
 
 
 def _int_list(value) -> bool:
-    return type(value) is list and all(type(c) is int for c in value)
+    """A list of exact ints, or a tuple of them (the slots of a sextic)."""
+    return type(value) in (list, tuple) and all(type(c) is int for c in value)
 
 
 def test_reduction_and_split_run_on_ints(monkeypatch):
-    """Everything between the cleared slots and the split is a list of
-    exact ints; the only forms reduce_to_short builds are the public ones."""
+    """Everything from the parsed sextic to the split is exact ints: the
+    parser builds no form, and the only forms reduce_to_short builds are
+    the public ones."""
     lines = [w.equation for w in witness_catalog()]
     lines += [c.text for c in itertools.islice(workloads.transformed_cases(29), 100)]
     built, reached, fractional = [], Counter(), 0
@@ -513,8 +493,12 @@ def test_reduction_and_split_run_on_ints(monkeypatch):
     for name in ("_u_mul", "_discriminant_from_parts", "_j_from_parts", "_split"):
         monkeypatch.setattr(weierstrass, name, recorded(name, getattr(weierstrass, name)))
     for text in lines:
-        sextic = parse_sextic(text)
         built.clear()
+        sextic = parse_sextic(text)
+        assert not built, text
+        for field in dataclasses.fields(sextic):
+            value = getattr(sextic, field.name)
+            assert type(value) is int or type(value) is tuple and _int_list(value), text
         try:
             data = reduce_to_short(sextic)
         except InvalidSurfaceError:
